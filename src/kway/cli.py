@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import grover, polytope, single_query
 from .behavior import eval_B
@@ -53,21 +51,18 @@ def _resolve_phi(args) -> float:
     if getattr(args, "phi_deg", None) is not None:
         if getattr(args, "phi", None) is not None:
             raise UsageError("give either --phi or --phi-deg, not both")
-        return math.radians(args.phi_deg)
-    return args.phi
+        phi = math.radians(args.phi_deg)
+    else:
+        phi = args.phi
+    if phi is not None and not math.isfinite(phi):
+        raise UsageError("the phase must be a finite number")
+    return phi
 
 
 def _violation_row(n: int, phi: float):
-    pattern = single_query.PhasePattern.half_half(n, phi)
-    d_num = single_query.delta_numeric(n, pattern)
-    if n >= 3:
-        d_closed, spectrum = single_query.delta_closed_form(n, phi)
-        regime = spectrum.regime.value
-    else:
-        d_closed = max(-math.cos(phi), 0.0)  # exact two-location law
-        regime = "violation" if d_closed > 1e-10 else "none"
-    b_quantum = n - 1 + d_num
-    return (n, phi, d_num, d_closed, regime, b_quantum, float(n - 1))
+    d_num = single_query.delta_numeric(n, single_query.PhasePattern.half_half(n, phi))
+    d_closed, spectrum = single_query.delta_closed_form(n, phi)
+    return (n, phi, d_num, d_closed, spectrum.regime.value, n - 1 + d_num, float(n - 1))
 
 
 def _delta_max_row(n: int):
@@ -151,22 +146,10 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("KWAY_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
-
-
 def cmd_scan(args) -> int:
     if args.n_min < 2 or args.n_max < args.n_min:
         raise UsageError("scan requires 2 <= n-min <= n-max")
-    ns = list(range(args.n_min, args.n_max + 1))
-    workers = _worker_count(len(ns))
-    if workers == 1:
-        rows = [_delta_max_row(n) for n in ns]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_delta_max_row, ns))
+    rows = [_delta_max_row(n) for n in range(args.n_min, args.n_max + 1)]
     _emit(rows, VIOLATION_HEADER, args.format, args.out)
     return EXIT_OK
 

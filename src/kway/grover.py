@@ -85,8 +85,10 @@ def grover_state_closed(run: GroverRun) -> np.ndarray:
 def optimal_query_count(n: int) -> int:
     """Query count maximizing the success amplitude sin((2k+1) theta/2).
 
-    Argmax over k in [1, ceil(pi sqrt(N)/4) + 1]; blind rounding of
-    pi sqrt(N)/4 can miss (N = 4 is exactly solved at k = 1).
+    Not the game's win probability P_W: at N = 256 this returns k = 12 with
+    N(1 - P_W) = 0.623, where k = 13 gives 0.391.  Argmax over k in
+    [1, ceil(pi sqrt(N)/4) + 1]; blind rounding of pi sqrt(N)/4 can miss
+    (N = 4 is exactly solved at k = 1).
     """
     if n < 2:
         raise ValueError("need N >= 2")
@@ -101,7 +103,7 @@ def optimal_query_count(n: int) -> int:
 
 def grover_rho_pair(n: int, k: int):
     """(rho0, rho1) at k queries: uniform-state projector and the exact
-    average of the N marked final states (no large-N approximation)."""
+    average of the N marked final states; the dense test oracle."""
     if n > MAX_N_DENSE:
         raise ValueError(f"dense construction capped at N={MAX_N_DENSE}")
     ang = (2 * k + 1) * grover_angle(n) / 2.0
@@ -116,7 +118,7 @@ def grover_rho_pair(n: int, k: int):
 
 
 def quantum_win_prob(n: int, k: int) -> float:
-    """Helstrom value (1 + ||rho1 - rho0||_1 / 2)/2 at equal priors.
+    """Helstrom value (1 + ||rho1 - rho0||_1 / 2)/2 at equal priors, in closed form.
 
     Equals (1 + sin^2(k theta))/2 with sin(theta/2) = 1/sqrt(N): each final
     state is cos(k theta) psi0 plus sin(k theta) times a unit vector
@@ -125,9 +127,7 @@ def quantum_win_prob(n: int, k: int) -> float:
     """
     if n < 2 or k < 0:
         raise ValueError("need N >= 2 and k >= 0")
-    rho0, rho1 = grover_rho_pair(n, k)
-    tn = float(np.sum(np.abs(np.linalg.eigvalsh(rho1 - rho0))))
-    return 0.5 * (1.0 + 0.5 * tn)
+    return 0.5 * (1.0 + math.sin(k * grover_angle(n)) ** 2)
 
 
 def speedup_curve(n: int, k_max: Optional[int] = None):

@@ -15,7 +15,6 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .behavior import Behavior, eval_B
 from .exactlp import solve_feasibility
@@ -23,6 +22,20 @@ from .exactlp import solve_feasibility
 MAX_N_EXACT = 4
 MAX_N_FLOAT = 5
 FLOAT_FEAS_TOL = 1e-8
+
+
+class _LinprogOnFirstCall:
+    """scipy.optimize.linprog, imported on the first call: only the float
+    route needs scipy, which adds about 50 MB to any process importing it.
+    An instance, so that benchmark/tracer.py times it as its own layer."""
+
+    def __call__(self, *args, **kwargs):
+        from scipy.optimize import linprog as scipy_linprog
+
+        return scipy_linprog(*args, **kwargs)
+
+
+linprog = _LinprogOnFirstCall()
 
 
 class PolytopeSizeError(ValueError):

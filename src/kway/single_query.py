@@ -173,16 +173,17 @@ def delta_numeric(n: int, pattern: PhasePattern) -> float:
 
 
 def delta_closed_form(n: int, phi: float):
-    """Analytic (delta, spectrum) for the half/half +-phi pattern, N >= 3.
+    """Analytic (delta, spectrum) for the half/half +-phi pattern, N >= 2.
 
     The shifted operator (N+1)(p1 rho_1 - p0 rho_0) - c*I restricted to the
     span of the uniform state and the phase vector is a 2x2 block with
     diagonal A = N - 3 + 2 cos(phi) and off-diagonal sin(phi) (even N) or
     sin(phi) sqrt(1 - 1/N^2) (odd N), where c = (2/N)(1 - cos phi).
-    delta is positive exactly when c < |lambda_-|.
+    delta is positive exactly when c < |lambda_-|.  At N = 2 the even form
+    gives delta = (sqrt(5 - 4 cos phi) - 1)/2, positive for every phi != 0.
     """
-    if n < 3:
-        raise ValueError("closed form defined for N >= 3")
+    if n < 2:
+        raise ValueError("closed form defined for N >= 2")
     c = math.cos(phi)
     s = math.sin(phi)
     a = n - 3 + 2 * c
@@ -207,15 +208,15 @@ def delta_closed_form(n: int, phi: float):
 def violation_threshold(n: int) -> float:
     """Sharp lower bound on cos(phi) for delta > 0 with the half/half pattern.
 
-    Even N: (N(N-6)+4)/(N-2)^2.  Odd N > 3: (N-5)/(N-3).  N = 3: every
-    phi in (0, pi] violates (the bound -1 is attained at phi = pi).
+    Even N > 2: (N(N-6)+4)/(N-2)^2.  Odd N > 3: (N-5)/(N-3).  N = 2, 3:
+    every phi in (0, pi] violates (the bound -1 is attained at phi = pi).
     """
-    if n < 3:
-        raise ValueError("threshold defined for N >= 3")
+    if n < 2:
+        raise ValueError("threshold defined for N >= 2")
+    if n <= 3:
+        return -1.0
     if n % 2 == 0:
         return (n * (n - 6) + 4) / (n - 2) ** 2
-    if n == 3:
-        return -1.0
     return (n - 5) / (n - 3)
 
 
@@ -233,40 +234,33 @@ def induced_behavior(n: int, pattern: PhasePattern, povm: BinaryPOVM) -> Behavio
     return Behavior.from_table(n, table)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float):
-    """Golden-section maximization; also samples both endpoints."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    candidates = [(f(lo), lo), (f(hi), hi), (fc, c), (fd, d)]
-    best, x = max(candidates)
-    return x, best
-
-
-def delta_max(n: int, phi_tol: float = 1e-6):
+def delta_max(n: int):
     """(phi*, delta*) maximizing the violation over phi on (0, pi].
 
-    N = 2 uses the numeric route with both phases equal to phi (the maximum
-    sits at phi = pi, delta = 1); N >= 3 maximizes the closed form over the
-    violation interval by golden-section search.
+    With c = cos(phi), g = 1 - 2/N, a = N - 3 + 2c and f = 1 (even N) or
+    1 - 1/N^2 (odd N), the violation branch of delta_closed_form is
+    delta(c) = 3/2 - N/2 - 2/N - g c + sqrt(a^2 + 4 f (1 - c^2))/2.  It
+    vanishes at phi = 0 and at the threshold, so the maximum is at phi = pi
+    or where d delta/dc = 0, i.e. a - 2fc = g sqrt(a^2 + 4 f (1 - c^2)).
+    Squared, that is q2 c^2 + q1 c + q0 = 0, linear for even N; its roots
+    in [-1, 1] with a - 2fc >= 0 are the stationary points.
     """
     if n < 2:
         raise ValueError("need N >= 2")
-    if n == 2:
-        f = lambda phi: delta_numeric(2, PhasePattern((phi, phi)))
-        return _golden_max(f, 1e-9, math.pi, phi_tol)
-    thr = violation_threshold(n)
-    hi = math.acos(min(1.0, max(-1.0, thr)))
-    f = lambda phi: delta_closed_form(n, phi)[0]
-    return _golden_max(f, 1e-9, hi, phi_tol)
+    m, g2 = n - 3, (1.0 - 2.0 / n) ** 2
+    e = 0.0 if n % 2 == 0 else 1.0 / (n * n)  # 1 - f, so a - 2fc = m + 2ec
+    q2 = 4 * e * (e - g2)
+    q1 = 4 * m * (e - g2)
+    q0 = m * m - g2 * (m * m + 4 * (1 - e))
+    disc = q1 * q1 - 4 * q2 * q0
+    roots = []
+    if disc >= 0:
+        # cancellation-free root pair; only q0 / s remains when q2 = 0
+        s = -0.5 * (q1 + math.copysign(math.sqrt(disc), q1))
+        if s != 0:
+            roots.append(q0 / s)
+        if q2 != 0:
+            roots.append(s / q2)
+    cands = [-1.0] + [c for c in roots if -1.0 <= c <= 1.0 and m + 2 * e * c >= 0]
+    return max(((math.acos(c), delta_closed_form(n, math.acos(c))[0]) for c in cands),
+               key=lambda pair: pair[1])

@@ -81,16 +81,6 @@ def test_criterion_02_perturbation_law_full_grid():
             ok, f"worst deviation {worst:.3g}")
 
 
-def test_criterion_02_perturbation_law_valid_domain():
-    # companion check: the law holds wherever cos(eps) >= 0, and the
-    # optimal-measurement value clamps at zero beyond
-    worst = 0.0
-    for eps in np.linspace(0.0, PI, 20):
-        d = delta_numeric(2, PhasePattern((PI - eps, PI - eps)))
-        worst = max(worst, abs(d - max(math.cos(eps), 0.0)))
-    assert worst <= 1e-9
-
-
 def test_criterion_03_closed_form_vs_numeric_oracle():
     worst = 0.0
     phis = np.linspace(0.0, PI, 51)[1:]

@@ -109,10 +109,10 @@ class TestWinProbability:
         # sin^2(k theta)/(N-1) on its complement, so P_W = (1 + sin^2(k theta))/2
         worst = 0.0
         for n in range(2, 65):
-            theta = grover_angle(n)
             for k in range(0, math.ceil(2 * math.sqrt(n)) + 1):
-                closed = (1 + math.sin(k * theta) ** 2) / 2
-                worst = max(worst, abs(quantum_win_prob(n, k) - closed))
+                rho0, rho1 = grover_rho_pair(n, k)
+                dense = 0.5 * (1 + 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho1 - rho0))))
+                worst = max(worst, abs(quantum_win_prob(n, k) - dense))
         assert worst <= 1e-12
 
     def test_rho_pair_matches_explicit_average(self):

@@ -179,7 +179,7 @@ class TestDeltaNumeric:
 
 class TestClosedForm:
     def test_agrees_with_numeric_on_grid(self):
-        for n in range(3, 13):
+        for n in range(2, 13):
             for phi in np.linspace(0.1, PI, 12):
                 d_closed, _ = delta_closed_form(n, phi)
                 d_num = delta_numeric(n, PhasePattern.half_half(n, phi))
@@ -217,19 +217,19 @@ class TestClosedForm:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            delta_closed_form(2, 1.0)
+            delta_closed_form(1, 1.0)
 
 
 class TestViolationThreshold:
     @pytest.mark.parametrize(
-        "n,expected", [(3, -1.0), (4, -1.0), (5, 0.0), (6, 0.25), (7, 0.5), (9, 2 / 3)]
+        "n,expected", [(2, -1.0), (3, -1.0), (4, -1.0), (5, 0.0), (6, 0.25), (7, 0.5), (9, 2 / 3)]
     )
     def test_values(self, n, expected):
         assert violation_threshold(n) == pytest.approx(expected)
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            violation_threshold(2)
+            violation_threshold(1)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_sharpness_against_numeric(self, n):
@@ -287,6 +287,13 @@ class TestDeltaMax:
         phi, d = delta_max(3)
         assert phi == pytest.approx(PI, abs=1e-5)
         assert d == pytest.approx(2 / 3, abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_maximum_against_dense_route_and_grid(self, n):
+        phi, d = delta_max(n)
+        assert delta_numeric(n, PhasePattern.half_half(n, phi)) == pytest.approx(d, abs=1e-9)
+        grid = np.linspace(0.0, PI, 2002)[1:]  # 2001 phases in (0, pi]
+        assert max(delta_closed_form(n, p)[0] for p in grid) <= d + 1e-12
 
     def test_decreases_with_size(self):
         values = [delta_max(n)[1] for n in range(2, 8)]
