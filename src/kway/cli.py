@@ -1,6 +1,8 @@
 """Command-line surface: verification commands, scans and table emission.
 
-Exit codes: 0 success, 1 internal consistency failure, 2 usage error.
+Exit codes: 0 success, 1 a failed checked invariant (a consistency check
+or a non-Hermitian operator), 2 bad usage or bad input, including any other
+ValueError the library raises.
 CSV output uses '.' decimals, a header row, LF endings and 12 significant
 digits, so identical invocations are byte-identical.
 """
@@ -13,13 +15,14 @@ import sys
 
 from . import grover, polytope, single_query
 from .behavior import eval_B
+from .linalg import NotHermitianError
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -41,8 +44,11 @@ def _emit(rows, header, fmt: str, out):
         ]
         text = json.dumps(objs, indent=2) + "\n"
     if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -82,8 +88,8 @@ VIOLATION_HEADER = (
 
 
 def cmd_violation(args) -> int:
-    if args.n < 2:
-        raise UsageError("violation requires --n >= 2")
+    if not 2 <= args.n <= single_query.MAX_N_STRUCTURED:
+        raise UsageError(f"violation requires 2 <= n <= {single_query.MAX_N_STRUCTURED}")
     phi = _resolve_phi(args)
     row = _violation_row(args.n, phi) if phi is not None else _delta_max_row(args.n)
     _emit([row], VIOLATION_HEADER, args.format, args.out)
@@ -147,8 +153,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.n_min < 2 or args.n_max < args.n_min:
-        raise UsageError("scan requires 2 <= n-min <= n-max")
+    if not 2 <= args.n_min <= args.n_max <= single_query.MAX_N_STRUCTURED:
+        raise UsageError(f"scan requires 2 <= n-min <= n-max <= {single_query.MAX_N_STRUCTURED}")
     rows = [_delta_max_row(n) for n in range(args.n_min, args.n_max + 1)]
     _emit(rows, VIOLATION_HEADER, args.format, args.out)
     return EXIT_OK
@@ -208,9 +214,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_INCONSISTENT if isinstance(exc, NotHermitianError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

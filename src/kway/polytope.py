@@ -129,6 +129,11 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
     mode "exact" runs a rational simplex (N <= 4); "float" uses scipy's HiGHS
     with feasibility tolerance 1e-8 (N <= 5); "auto" picks exact for N <= 3.
     Infeasibility is a negative result, not an error.
+
+    The exact route decides membership for the exact rational value of each
+    float entry.  A mixture of vertices computed in floating point is rounded,
+    and the rounded table can leave the polytope's affine hull, so the exact
+    route may reject it; use mode="float" for float data.
     """
     n = behavior.n_locations
     if mode == "auto":

@@ -7,11 +7,18 @@ one-hot encodings (rho_1, prior N/(N+1)) with the optimal binary measurement
 yields a witness value N - 1 + delta; delta > 0 certifies genuine N-way
 signaling.
 
-Two independent routes compute delta for the half/half +-phi phase pattern:
+delta is computed by two independent routes:
 
-* delta_numeric: build rho_0, rho_1 densely and eigensolve (the oracle);
-* delta_closed_form: the analytic spectrum of p1 rho_1 - p0 rho_0, which
-  splits into a bulk eigenvalue of multiplicity N-2 and a 2x2 block.
+* delta_numeric, for any PhasePattern: (N+1)(p1 rho_1 - p0 rho_0) is a
+  diagonal plus a part that depends only on the phases, so grouping the
+  locations by phase deflates its spectrum to one eigenvalue per group
+  and a G x G Hermitian block for G distinct phases;
+* delta_closed_form, for the half/half +-phi pattern: the analytic spectrum,
+  a bulk eigenvalue of multiplicity N-2 and a 2x2 block.
+
+The dense operators of build_discrimination_pair serve helstrom and
+induced_behavior, which need the measurement itself, and are the oracle
+the tests check both routes against.
 
 Note: the commonly quoted violation threshold cos(phi) > (N(N-6)+5)/(N^2-2N+3)
 for odd N does not match the analytic spectrum; the condition
@@ -33,6 +40,10 @@ from .linalg import check_hermitian, eigvalsh, positive_eigenspace_projector, tr
 STATE_TOL = 1e-12
 DENSITY_TOL = 1e-10
 POVM_TOL = 1e-10
+# build_discrimination_pair allocates N x N complex operators (16 N^2 bytes
+# each); delta_numeric holds O(N) floats plus the pattern itself.
+MAX_N_DENSE = 2048
+MAX_N_STRUCTURED = 1_000_000
 
 
 class Regime(enum.Enum):
@@ -135,6 +146,8 @@ def build_discrimination_pair(n: int, pattern: PhasePattern):
     """(p0, rho_0, p1, rho_1): all-zero encoding vs averaged one-hot encodings."""
     if n < 2:
         raise ValueError("need at least two locations")
+    if n > MAX_N_DENSE:
+        raise ValueError(f"dense construction capped at N={MAX_N_DENSE}")
     if len(pattern) != n:
         raise ValueError("pattern length must equal N")
     psi0 = uniform_state(n)
@@ -167,9 +180,32 @@ def helstrom(p0: float, rho0: np.ndarray, p1: float, rho1: np.ndarray):
 
 
 def delta_numeric(n: int, pattern: PhasePattern) -> float:
-    """Witness violation from the dense density operators and the eigensolver."""
-    p0, rho0, p1, rho1 = build_discrimination_pair(n, pattern)
-    return 0.5 - n / 2 + (n + 1) / 2 * trace_norm(p1 * rho1 - p0 * rho0)
+    """Witness violation of the Helstrom measurement, from the phase groups.
+
+    With z_i = e^{i phi_i}, H = (N+1)(p1 rho_1 - p0 rho_0) = diag(d) + M
+    where d_i = |z_i - 1|^2/N and M_ij = (N - 3 + z_i + conj(z_j))/N.
+    delta = (||H||_1 - (N - 1))/2 and Tr H = N - 1, so delta is the sum of
+    |lambda| over the negative eigenvalues of H.  Group the locations by
+    phase, G groups of sizes m_g.  Every vector on one group that sums to
+    zero is an eigenvector with eigenvalue d_g >= 0 (m_g - 1 of them); the
+    other G eigenvalues are those of the block on the normalised group
+    indicators, R_gh = sqrt(m_g m_h)(N - 3 + z_g + conj(z_h))/N + [g = h] d_g
+    (the deflation of Golub, SIAM Rev. 15, 1973).  Only R can go negative.
+    """
+    if n < 2:
+        raise ValueError("need at least two locations")
+    if n > MAX_N_STRUCTURED:
+        raise ValueError(f"structured route capped at N={MAX_N_STRUCTURED}")
+    if len(pattern) != n:
+        raise ValueError("pattern length must equal N")
+    phases, sizes = np.unique(np.array(pattern.phases), return_counts=True)
+    z = np.exp(1j * phases)
+    root_m = np.sqrt(sizes)
+    # z_g + conj(z_h) is exactly conj(z_h + conj(z_g)) in floating point, so
+    # r is exactly Hermitian however large N makes its entries
+    r = np.outer(root_m, root_m) * ((n - 3) + (z[:, None] + z.conj()[None, :])) / n
+    r[np.diag_indices_from(r)] += (2 * np.sin(phases / 2)) ** 2 / n
+    return float(np.sum(np.maximum(-eigvalsh(r), 0.0)))
 
 
 def delta_closed_form(n: int, phi: float):

@@ -27,6 +27,7 @@ derivations fix the expected values:
 import math
 
 import numpy as np
+from oracles import dense_delta
 
 from kway.behavior import Behavior, classical_win_bound
 from kway.grover import (
@@ -82,16 +83,17 @@ def test_criterion_02_perturbation_law_full_grid():
 
 
 def test_criterion_03_closed_form_vs_numeric_oracle():
-    worst = 0.0
+    worst = worst_dense = 0.0
     phis = np.linspace(0.0, PI, 51)[1:]
     for n in range(3, 41):
         for phi in phis:
             d_closed, _ = delta_closed_form(n, phi)
-            d_num = delta_numeric(n, PhasePattern.half_half(n, phi))
-            worst = max(worst, abs(d_closed - d_num))
-    ok = worst <= 1e-8
-    _report(3, "closed form vs eigensolver, N in [3,40], 50 phi points", ok,
-            f"worst gap {worst:.3g}")
+            pattern = PhasePattern.half_half(n, phi)
+            worst = max(worst, abs(d_closed - delta_numeric(n, pattern)))
+            worst_dense = max(worst_dense, abs(d_closed - dense_delta(n, pattern)))
+    ok = worst <= 1e-8 and worst_dense <= 1e-8
+    _report(3, "closed form vs phase-group route and dense eigensolver, N in [3,40], 50 phi points",
+            ok, f"worst gaps {worst:.3g} and {worst_dense:.3g}")
 
 
 def test_criterion_04_threshold_sharpness():

@@ -1,9 +1,13 @@
 import json
 import math
+import random
 
 import pytest
 
+from kway import single_query
 from kway.cli import main
+from kway.linalg import NotHermitianError
+from kway.polytope import PolytopeSizeError
 
 
 def run(capsys, *argv):
@@ -38,6 +42,28 @@ class TestViolationCommand:
     def test_guard(self, capsys):
         code, _, err = run(capsys, "violation", "--n", "1")
         assert code == 2
+
+    def test_size_cap_exits_before_building_a_pattern(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pattern built above the cap")
+
+        monkeypatch.setattr(single_query.PhasePattern, "half_half", refuse)
+        cap = single_query.MAX_N_STRUCTURED
+        for argv in (("violation", "--n", str(cap + 1), "--phi", "1"), ("violation", "--n", str(cap + 1))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == f"error: violation requires 2 <= n <= {cap}\n"
+
+    def test_numeric_matches_closed_form_at_large_n(self, capsys):
+        rows = []
+        for phi in ("0.2", "1", "2.5"):
+            rows += [run(capsys, "violation", "--n", str(n), "--phi", phi)[1].split("\n")[1]
+                     for n in range(200, 301, 5)]
+        rows += run(capsys, "scan", "--n-min", "200", "--n-max", "300")[1].strip().split("\n")[1:]
+        assert len(rows) == 3 * 21 + 101
+        for row in rows:
+            cells = row.split(",")
+            assert float(cells[2]) == pytest.approx(float(cells[3]), abs=1e-12), row
 
     def test_n2_row_uses_one_phase_pattern(self, capsys):
         code, out, _ = run(capsys, "violation", "--n", "2", "--phi", "0.7759")
@@ -149,6 +175,65 @@ class TestScanCommand:
     def test_guard(self, capsys):
         assert run(capsys, "scan", "--n-min", "5", "--n-max", "4")[0] == 2
 
+    def test_size_cap(self, capsys):
+        cap = single_query.MAX_N_STRUCTURED
+        code, out, err = run(capsys, "scan", "--n-min", str(cap - 1), "--n-max", str(cap + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: scan requires 2 <= n-min <= n-max <= {cap}\n"
+
 
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [(ValueError("bad table"), 2), (PolytopeSizeError("capped"), 2), (NotHermitianError("not Hermitian"), 1)],
+)
+def test_library_errors_map_to_exit_codes(capsys, monkeypatch, error, code):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(single_query, "delta_numeric", fail)
+    got, out, err = run(capsys, "violation", "--n", "4", "--phi", "1")
+    assert got == code and out == ""
+    assert err == f"error: {error}\n"
+
+
+def test_unwritable_out_file_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "violation", "--n", "4", "--out", str(tmp_path / "missing" / "row.csv"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+def test_argv_fuzz_exits_cleanly(capsys, tmp_path):
+    """Every generated command line exits 0 or 2 without a traceback."""
+    # (valid values, invalid values) per kind of flag
+    far = [str(10 * single_query.MAX_N_STRUCTURED), "10" * 12]  # above every command's cap
+    sizes = (["2", "3"], ["-3", "0", "1", "nan", "abc", "", "2.5"] + far)
+    phases = (["-1", "0", "1", "3.14159", "1e308", "-1e308"], ["nan", "inf", "-inf", "abc", ""])
+    formats = (["csv", "json"], ["xml"])
+    outs = ([str(tmp_path / "out.csv")], [str(tmp_path / "missing" / "out.csv"), str(tmp_path)])
+    flags = {
+        "violation": {"--n": sizes, "--phi": phases, "--phi-deg": phases, "--format": formats, "--out": outs},
+        "polytope": {"--n": sizes, "--k": sizes},
+        "grover": {"--n": sizes, "--kmax": sizes, "--format": formats, "--out": outs},
+        "witness": {"--n": sizes, "--phi": phases, "--phi-deg": phases},
+        "scan": {"--n-min": sizes, "--n-max": sizes, "--format": formats, "--out": outs},
+        "frobnicate": {"--n": sizes},
+    }
+    rng = random.Random(20261018)
+    codes = []
+    for _ in range(400):
+        command = rng.choice(sorted(flags))
+        argv = [command]
+        for flag, (valid, invalid) in flags[command].items():
+            if rng.random() < 0.6:
+                argv += [flag, rng.choice(valid if rng.random() < 0.8 else invalid)]
+        if rng.random() < 0.05:
+            argv.append(rng.choice(["--help", "--bogus", "5"]))
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2), argv
+        assert "Traceback" not in err, argv
+        codes.append(code)
+    assert 50 < codes.count(0) < 350

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import dense_delta
 
 from kway.behavior import eval_B
 from kway.polytope import is_k_way
 from kway.single_query import (
+    MAX_N_DENSE,
+    MAX_N_STRUCTURED,
     BinaryPOVM,
     PhasePattern,
     Regime,
@@ -115,6 +118,11 @@ class TestDiscriminationPair:
         with pytest.raises(ValueError):
             build_discrimination_pair(1, PhasePattern((PI,)))
 
+    def test_dense_size_cap(self):
+        n = MAX_N_DENSE + 1
+        with pytest.raises(ValueError, match=f"capped at N={MAX_N_DENSE}"):
+            build_discrimination_pair(n, PhasePattern((0.0,) * n))
+
 
 class TestHelstrom:
     def test_equal_states_guess_the_likelier(self):
@@ -168,6 +176,29 @@ class TestDeltaNumeric:
         for eps in (2.0, 2.5, 3.0):
             d = delta_numeric(2, PhasePattern((PI - eps, PI - eps)))
             assert d == pytest.approx(0.0, abs=1e-10)
+
+    def test_matches_dense_oracle_on_pattern_kinds(self):
+        rng = np.random.default_rng(12)
+        worst = 0.0
+        for n in range(2, 65):
+            kinds = (
+                rng.uniform(-PI, PI, n),                          # all phases distinct
+                rng.choice(rng.uniform(-PI, PI, 3), n),           # a few repeated phases
+                rng.choice([0.0, PI, -PI, 1.0], n),               # 0, +-pi (one phase) and 1
+                PhasePattern.half_half(n, rng.uniform(-PI, PI)).phases,
+            )
+            for phases in kinds:
+                pattern = PhasePattern(tuple(phases))
+                worst = max(worst, abs(delta_numeric(n, pattern) - dense_delta(n, pattern)))
+        assert worst <= 1e-12
+
+    def test_structured_size_cap_and_validation(self):
+        with pytest.raises(ValueError, match=f"capped at N={MAX_N_STRUCTURED}"):
+            delta_numeric(MAX_N_STRUCTURED + 1, PhasePattern((0.0,)))
+        with pytest.raises(ValueError):
+            delta_numeric(1, PhasePattern((PI,)))
+        with pytest.raises(ValueError):
+            delta_numeric(3, PhasePattern((PI, PI)))
 
     def test_nonnegative_on_random_patterns(self):
         rng = np.random.default_rng(8)
@@ -291,7 +322,9 @@ class TestDeltaMax:
     @pytest.mark.parametrize("n", range(2, 41))
     def test_maximum_against_dense_route_and_grid(self, n):
         phi, d = delta_max(n)
-        assert delta_numeric(n, PhasePattern.half_half(n, phi)) == pytest.approx(d, abs=1e-9)
+        pattern = PhasePattern.half_half(n, phi)
+        assert delta_numeric(n, pattern) == pytest.approx(d, abs=1e-9)
+        assert dense_delta(n, pattern) == pytest.approx(d, abs=1e-9)
         grid = np.linspace(0.0, PI, 2002)[1:]  # 2001 phases in (0, pi]
         assert max(delta_closed_form(n, p)[0] for p in grid) <= d + 1e-12
 
