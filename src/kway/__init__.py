@@ -1,7 +1,8 @@
 """Desk-scale toolkit for k-way-signaling bounds and their quantum violation.
 
-Covers: behavior tables and the witness inequality, polytope vertex
-enumeration with LP membership, Helstrom discrimination of phase-encoded
+Covers: behavior tables and the witness inequality, the k-way polytope
+(closed-form vertex count and witness bound, compact LP membership with
+exact certificates), Helstrom discrimination of phase-encoded
 spatial superpositions (numeric and closed-form routes), and the Grover-style
 multi-query protocol with its quadratic speed-up over classical querying.
 """
@@ -19,17 +20,18 @@ from .grover import (
     ScanRecord,
     grover_state_closed,
     grover_state_iterative,
-    inversion_about_mean,
     optimal_query_count,
     quantum_win_prob,
     speedup_curve,
 )
 from .polytope import (
+    CertificationError,
     DeterministicVertex,
     MembershipResult,
     enumerate_vertices,
     is_k_way,
     max_B_over_vertices,
+    vertex_count,
     vertex_to_behavior,
 )
 from .single_query import (

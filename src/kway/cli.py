@@ -1,8 +1,9 @@
 """Command-line surface: verification commands, scans and table emission.
 
-Exit codes: 0 success, 1 a failed checked invariant (a consistency check
-or a non-Hermitian operator), 2 bad usage or bad input, including any other
-ValueError the library raises.
+Exit codes: 0 success, 1 a failed checked invariant (a consistency check,
+a non-Hermitian operator or a membership verdict without an exact
+certificate), 2 bad usage or bad input, including any other ValueError the
+library raises.
 CSV output uses '.' decimals, a header row, LF endings and 12 significant
 digits, so identical invocations are byte-identical.
 """
@@ -20,6 +21,14 @@ from .linalg import NotHermitianError
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
+# A scan's rows cost O(N) each; its total, the sum of N, may reach what one
+# row at single_query.MAX_N_STRUCTURED costs.
+MAX_SCAN_N_SUM = single_query.MAX_N_STRUCTURED
+# The Helstrom table is computed in floating point, and rounding alone can
+# put it off the (N-1)-way polytope's affine hull.  At N = 5, phi = 2.0,
+# where delta = 0, its top Walsh coefficient is -4.4e-16, so the exact
+# route's "false" there would be an artifact of rounding.
+MAX_N_WITNESS = 3
 
 
 class UsageError(ValueError):
@@ -99,14 +108,13 @@ def cmd_violation(args) -> int:
 def cmd_polytope(args) -> int:
     if not 1 <= args.k <= args.n:
         raise UsageError("polytope requires 1 <= k <= n")
-    if args.n > 4:
-        raise UsageError("polytope command capped at n = 4")
-    vertices = polytope.enumerate_vertices(args.n, args.k)
+    if args.n > polytope.MAX_N_FLOAT:
+        raise UsageError(f"polytope command capped at n = {polytope.MAX_N_FLOAT}")
     max_b = polytope.max_B_over_vertices(args.n, args.k)
     expected = args.n - 1 if args.k < args.n else args.n
     print(f"n {args.n}")
     print(f"k {args.k}")
-    print(f"vertices {len(vertices)}")
+    print(f"vertices {polytope.vertex_count(args.n, args.k)}")
     print(f"max_B {_fmt(max_b)}")
     print(f"expected {expected}")
     if abs(max_b - expected) > 1e-12:
@@ -130,8 +138,8 @@ def cmd_grover(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if not 2 <= args.n <= 3:
-        raise UsageError("witness uses the exact LP path and requires 2 <= n <= 3")
+    if not 2 <= args.n <= MAX_N_WITNESS:
+        raise UsageError(f"witness uses the exact LP path and requires 2 <= n <= {MAX_N_WITNESS}")
     phi = _resolve_phi(args)
     if phi is None:
         raise UsageError("witness requires --phi or --phi-deg")
@@ -155,6 +163,8 @@ def cmd_witness(args) -> int:
 def cmd_scan(args) -> int:
     if not 2 <= args.n_min <= args.n_max <= single_query.MAX_N_STRUCTURED:
         raise UsageError(f"scan requires 2 <= n-min <= n-max <= {single_query.MAX_N_STRUCTURED}")
+    if (args.n_min + args.n_max) * (args.n_max - args.n_min + 1) // 2 > MAX_SCAN_N_SUM:
+        raise UsageError(f"scan caps the sum of N over its rows at {MAX_SCAN_N_SUM}")
     rows = [_delta_max_row(n) for n in range(args.n_min, args.n_max + 1)]
     _emit(rows, VIOLATION_HEADER, args.format, args.out)
     return EXIT_OK
@@ -214,9 +224,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, polytope.CertificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT if isinstance(exc, NotHermitianError) else EXIT_USAGE
+        failed_check = isinstance(exc, (NotHermitianError, polytope.CertificationError))
+        return EXIT_INCONSISTENT if failed_check else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -52,11 +52,6 @@ def grover_angle(n: int) -> float:
     return 2.0 * math.asin(1.0 / math.sqrt(n))
 
 
-def inversion_about_mean(n: int) -> np.ndarray:
-    """U = 2|psi0><psi0| - 1."""
-    return 2.0 * np.full((n, n), 1.0 / n) - np.eye(n)
-
-
 def grover_state_iterative(run: GroverRun) -> np.ndarray:
     """k rounds of (pi-phase oracle, then inversion about mean) on the uniform state."""
     n = run.n

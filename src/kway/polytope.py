@@ -1,33 +1,58 @@
-"""Vertex enumeration and LP membership for the k-way-signaling polytope.
+"""The k-way-signaling polytope: closed-form facts and LP membership.
 
 A behavior that can be produced by mixing deterministic strategies, each
 reading a fixed size-k subset of the N inputs, is k-way signaling.  The
 extreme points are (subset, Boolean function) pairs; distinct labels can
-induce the same table (e.g. constant functions), so vertices are
-deduplicated by their induced 2^N table.
+induce the same table (e.g. constant functions).
+
+Membership is decided in the marginal form of local-polytope LPs (Brunner
+et al., Rev. Mod. Phys. 86, 419, 2014, Sec. II).  The functions on one
+subset S fill the cube [0, 1]^{2^k}, so a table is k-way iff
+P(1|x) = sum_S g_S(x_S) with 0 <= g_S(a) <= q_S, q_S >= 0 and sum_S q_S = 1.
+That LP has C(N,k)(2^k + 1) columns, and its sparse matrices are built
+once per (N, k).  A staircase decomposition turns each box point g_S/q_S
+into at most 2^k + 1 weighted vertices.
+
+The vertex count and the largest witness value have closed forms
+(vertex_count, max_B_over_vertices).  enumerate_vertices lists the
+vertices themselves; no production path calls it, and the tests use it as
+their oracle.
 """
 from __future__ import annotations
 
+import functools
 import json
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .behavior import Behavior, eval_B
-from .exactlp import solve_feasibility
+from .behavior import Behavior
+from .exactlp import check_member, separates, solve, support_function, walsh_certificate
 
-MAX_N_EXACT = 4
-MAX_N_FLOAT = 5
+# One verdict costs about a second or less up to these sizes, at every k;
+# the worst measured is k = 5 at N = 8 (see CHANGES.md for the timings).
+MAX_N_EXACT = 8
+MAX_N_FLOAT = 8
+MAX_N_ENUMERATE = 5   # enumerate_vertices loops over C(N,k) 2^(2^k) labels
 FLOAT_FEAS_TOL = 1e-8
+WEIGHT_TOL = 1e-12    # float weights at or below this are dropped
+TIGHT_TOL = 1e-9      # a simplex q_S - g_S(a) or g_S(a) at or below this reads as 0
+INTERIOR_TOL = 1e-6   # the same for an interior point, whose primal tolerance is 1e-7
+# HiGHS's presolve left the status unknown on an infeasible N = 8, k = 4
+# table that it decides without presolve; without it, small LPs also solve
+# as fast or faster.
+HIGHS_OPTIONS = {"presolve": False}
 
 
 class _LinprogOnFirstCall:
-    """scipy.optimize.linprog, imported on the first call: only the float
-    route needs scipy, which adds about 50 MB to any process importing it.
-    An instance, so that benchmark/tracer.py times it as its own layer."""
+    """scipy.optimize.linprog, imported on the first call: only the LP
+    needs scipy, which adds about 50 MB to any process importing it.  An
+    instance, so that benchmark/tracer.py times it as its own layer."""
 
     def __call__(self, *args, **kwargs):
         from scipy.optimize import linprog as scipy_linprog
@@ -40,6 +65,11 @@ linprog = _LinprogOnFirstCall()
 
 class PolytopeSizeError(ValueError):
     """Requested instance exceeds the supported exact/floating size guards."""
+
+
+class CertificationError(RuntimeError):
+    """The exact route found neither a member point nor a separating
+    hyperplane that checks in exact arithmetic."""
 
 
 @dataclass(frozen=True, order=True)
@@ -97,16 +127,20 @@ def vertex_to_behavior(v: DeterministicVertex, n: int) -> Behavior:
     return Behavior.from_table(n, vertex_table(v, n))
 
 
+def _check_size(n: int, k: int, cap: int, what: str):
+    if not 1 <= k <= n:
+        raise PolytopeSizeError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if n > cap:
+        raise PolytopeSizeError(f"{what} capped at N={cap}")
+
+
 def enumerate_vertices(n: int, k: int):
     """All distinct deterministic k-way behaviors for N inputs.
 
     Returns a deterministically ordered list of representative vertices; two
     (subset, function) labels inducing the same table are merged.
     """
-    if not 1 <= k <= n:
-        raise PolytopeSizeError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n > MAX_N_FLOAT:
-        raise PolytopeSizeError(f"vertex enumeration capped at N={MAX_N_FLOAT}")
+    _check_size(n, k, MAX_N_ENUMERATE, "vertex enumeration")
     seen = {}
     for locs in combinations(range(1, n + 1), k):
         for fidx in range(2 ** (2 ** k)):
@@ -118,62 +152,262 @@ def enumerate_vertices(n: int, k: int):
     return [seen[t] for t in sorted(seen)]
 
 
+def vertex_count(n: int, k: int) -> int:
+    """Number of distinct vertices, sum_{j <= k} C(N, j) D(j).
+
+    D(j) = sum_i (-1)^{j-i} C(j, i) 2^{2^i} counts the Boolean functions of
+    j given bits that depend on all j of them (inclusion-exclusion), and
+    every vertex table depends on exactly one set of at most k bits.
+    """
+    _check_size(n, k, MAX_N_FLOAT, "vertex count")
+    return sum(
+        comb(n, j) * sum((-1) ** (j - i) * comb(j, i) * 2 ** 2 ** i for i in range(j + 1))
+        for j in range(k + 1)
+    )
+
+
 def max_B_over_vertices(n: int, k: int) -> float:
-    """Largest witness value over all level-k vertices: N-1 for k < N, N for k = N."""
-    return max(eval_B(vertex_to_behavior(v, n)) for v in enumerate_vertices(n, k))
+    """Largest witness value over all level-k vertices, h(y_B): N-1 for k < N, N for k = N."""
+    _check_size(n, k, MAX_N_FLOAT, "witness bound")
+    y = [0] * 2 ** n
+    y[0] = -1
+    for i in range(n):
+        y[1 << i] = 1
+    return float(support_function(y, fibre_index(n, k)))
+
+
+@functools.lru_cache(maxsize=None)
+def fibre_index(n: int, k: int) -> np.ndarray:
+    """index[s, x] = x_S for the s-th k-subset S in lexicographic order,
+    its first location as the least significant bit."""
+    xs = np.arange(2 ** n)
+    rows = [
+        sum(((xs >> (loc - 1)) & 1) << pos for pos, loc in enumerate(locs))
+        for locs in combinations(range(1, n + 1), k)
+    ]
+    index = np.array(rows)
+    index.setflags(write=False)
+    return index
+
+
+@dataclass(frozen=True)
+class _CompactLP:
+    """The membership LP and the separation LP for one (N, k), as sparse matrices.
+
+    Membership columns: g_S(a) at s 2^k + a, then q_S at C 2^k + s.
+    Separation columns: y_x, then u_{S,a}, then t.
+    """
+
+    subsets: tuple
+    index: np.ndarray
+    g_cols: np.ndarray    # g_cols[s, x]: the column of g_S(x_S)
+    a_eq: object          # sum_S g_S(x_S) = p(x) for each x, then sum_S q_S = 1
+    a_ub: object          # g_S(a) - q_S <= 0
+    sep_a_ub: object      # sum_{x_S = a} y_x - u_{S,a} <= 0, then sum_a u_{S,a} - t <= 0
+
+
+@functools.lru_cache(maxsize=None)
+def _compact_lp(n: int, k: int) -> _CompactLP:
+    from scipy.sparse import csr_matrix
+
+    index = fibre_index(n, k)
+    c, m, size = index.shape[0], 2 ** k, 2 ** n
+    cm = c * m
+    g_cols = np.arange(c)[:, None] * m + index
+    g_col = g_cols.ravel()
+    xs = np.tile(np.arange(size), c)
+    cells, subset_of_cell = np.arange(cm), np.arange(cm) // m
+
+    def matrix(rows, cols, vals, shape):
+        return csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+
+    ones, minus = np.ones(cm), -np.ones(cm)
+    a_eq = matrix([xs, np.full(c, size)], [g_col, cm + np.arange(c)],
+                  [np.ones(c * size), np.ones(c)], (size + 1, cm + c))
+    a_ub = matrix([cells, cells], [cells, cm + subset_of_cell], [ones, minus], (cm, cm + c))
+    sep_a_ub = matrix(
+        [g_col, cells, cm + subset_of_cell, cm + np.arange(c)],
+        [xs, size + cells, size + cells, np.full(c, size + cm)],
+        [np.ones(c * size), minus, ones, -np.ones(c)],
+        (cm + c, size + cm + 1),
+    )
+    subsets = tuple(combinations(range(1, n + 1), k))
+    return _CompactLP(subsets, index, g_cols, a_eq, a_ub, sep_a_ub)
+
+
+# Staircase vertices recur from call to call; one shared object per label
+# keeps the results small.
+_vertex = functools.lru_cache(maxsize=4096)(DeterministicVertex)
+
+
+def _staircase(locs, g_s, q_s, tol):
+    """(vertex, weight) pairs on the subset locs, weights above tol, with
+    sum w = q_s and sum w table = g_s.
+
+    Sort the coordinates in decreasing order: the j-th vertex outputs 1 on
+    the top j of them, with weight (j-th largest) - ((j+1)-th largest),
+    where q_s stands above the largest and 0 below the smallest.
+    """
+    order = sorted(range(len(g_s)), key=g_s.__getitem__, reverse=True)
+    levels = [q_s] + [g_s[a] for a in order] + [0]
+    table = [0] * len(g_s)
+    out = []
+    for j in range(len(g_s) + 1):
+        if j:
+            table[order[j - 1]] = 1
+        w = levels[j] - levels[j + 1]
+        if w > tol:
+            out.append((_vertex(locs, tuple(table)), w))
+    return out
+
+
+def _float_member(lp: _CompactLP, x, p) -> MembershipResult:
+    """Weights read off HiGHS's point, checked against the table within FLOAT_FEAS_TOL."""
+    c, m = len(lp.subsets), 2 ** len(lp.subsets[0])
+    g, q = x[: c * m].reshape(c, m), np.maximum(x[c * m:], 0.0)
+    g = np.clip(g, 0.0, q[:, None]).tolist()
+    weights, rebuilt, total = {}, np.zeros(len(p)), 0.0
+    for s, locs in enumerate(lp.subsets):
+        box = np.zeros(m)
+        for v, w in _staircase(locs, g[s], float(q[s]), WEIGHT_TOL):
+            weights[v] = w
+            box += w * np.array(v.truth_table)
+            total += w
+        rebuilt += box[lp.index[s]]
+    gap = max(float(np.max(np.abs(rebuilt - p))), abs(total - 1.0))
+    if gap > FLOAT_FEAS_TOL:
+        raise RuntimeError(f"LP weights miss the table by {gap:g}")
+    return MembershipResult(True, weights)
+
+
+def _exact_member(lp: _CompactLP, x, p, tol) -> Optional[MembershipResult]:
+    """Fraction weights from the compact LP's equalities solved exactly on
+    the support of HiGHS's point x, or None when no such point checks.
+
+    The first attempt drops the columns at or below tol and pins
+    g_S(a) = q_S where x has them within tol, which leaves fewer unknowns.
+    It fails when x is off by HiGHS's tolerance, as on the table with every
+    entry 1 - 2^-53 at N = 3, k = 2, where the simplex point has
+    g_S = q_S = 1 - 2^-52 on one subset; the second attempt keeps every
+    positive column and pins nothing.
+    """
+    c, m = len(lp.subsets), 2 ** len(lp.subsets[0])
+    cm = c * m
+    for pin in (True, False):
+        support = set(np.flatnonzero(x > (tol if pin else 0)).tolist())
+        # the unknown each support column stands for: a pinned g_S(a) is q_S
+        alias = {}
+        for j in support:
+            q_col = cm + j // m
+            pinned = pin and j < cm and q_col in support and x[q_col] - x[j] <= tol
+            alias[j] = q_col if pinned else j
+        unknowns = sorted(set(alias.values()))
+        position = {u: i for i, u in enumerate(unknowns)}
+        column = {j: position[u] for j, u in alias.items()}
+        rows = []
+        for cells in lp.g_cols.T.tolist() + [range(cm, cm + c)]:
+            row = {}
+            for j in cells:
+                if j in column:
+                    row[column[j]] = row.get(column[j], 0) + 1
+            rows.append(row)
+        guess = [x[u] if x[u] > tol else 0.0 for u in unknowns]
+        z = solve(rows, list(p) + [1], guess)
+        if z is None:
+            continue
+        full = [Fraction(0)] * (cm + c)
+        for j in support:
+            full[j] = z[column[j]]
+        g = [full[s * m:(s + 1) * m] for s in range(c)]
+        q = full[cm:]
+        if check_member(g, q, p, lp.index):
+            weights = {v: w for locs, g_s, q_s in zip(lp.subsets, g, q) for v, w in _staircase(locs, g_s, q_s, 0)}
+            return MembershipResult(True, weights)
+    return None
+
+
+def _membership_lp(lp: _CompactLP, p_float, interior=False):
+    """HiGHS on the compact LP: a vertex of the feasible set by dual simplex,
+    or with interior=True a point inside it, by the interior-point method
+    without crossover."""
+    method, options = ("highs-ipm", {**HIGHS_OPTIONS, "run_crossover": "off"}) if interior else ("highs", HIGHS_OPTIONS)
+    with warnings.catch_warnings():
+        # scipy passes run_crossover to HiGHS verbatim, and warns that it did
+        warnings.filterwarnings("ignore", message="Unrecognized options")
+        res = linprog(c=np.zeros(lp.a_eq.shape[1]), A_ub=lp.a_ub, b_ub=np.zeros(lp.a_ub.shape[0]), A_eq=lp.a_eq,
+                      b_eq=np.append(p_float, 1.0), bounds=(0, None), method=method, options=options)
+    if res.status not in (0, 2):
+        raise RuntimeError(f"LP solver failure: {res.message}")
+    return res
+
+
+def _separating_vector(lp: _CompactLP, p_float):
+    """y from the separation LP: maximize y.p - t over |y| <= 1, t >= h(y)."""
+    size = len(p_float)
+    cols = lp.sep_a_ub.shape[1]
+    cost = np.zeros(cols)
+    cost[:size], cost[-1] = -p_float, 1.0
+    res = linprog(c=cost, A_ub=lp.sep_a_ub, b_ub=np.zeros(lp.sep_a_ub.shape[0]),
+                  bounds=[(-1.0, 1.0)] * size + [(0.0, None)] * (cols - size), method="highs",
+                  options=HIGHS_OPTIONS)
+    if res.status != 0:
+        raise RuntimeError(f"LP solver failure: {res.message}")
+    return [Fraction(v) for v in res.x[:size].tolist()]
 
 
 def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult:
-    """LP membership test: is the behavior a convex mixture of level-k vertices?
+    """Is the behavior a convex mixture of level-k vertices?
 
-    mode "exact" runs a rational simplex (N <= 4); "float" uses scipy's HiGHS
-    with feasibility tolerance 1e-8 (N <= 5); "auto" picks exact for N <= 3.
-    Infeasibility is a negative result, not an error.
+    Both routes solve the compact LP of the module docstring with scipy's
+    HiGHS; infeasibility is a negative result, not an error.
 
-    The exact route decides membership for the exact rational value of each
-    float entry.  A mixture of vertices computed in floating point is rounded,
-    and the rounded table can leave the polytope's affine hull, so the exact
-    route may reject it; use mode="float" for float data.
+    mode "float" (N <= MAX_N_FLOAT) reads float weights off HiGHS's point
+    and checks that they sum to 1 and reproduce the table within
+    FLOAT_FEAS_TOL; otherwise it raises RuntimeError.
+
+    mode "exact" (N <= MAX_N_EXACT) decides membership for the exact
+    rational value of each float entry, and every verdict carries a proof
+    checked in exact arithmetic:
+
+    1. a nonzero Walsh coefficient at some |T| > k puts the table off the
+       polytope's affine hull, a non-member (no LP is solved);
+    2. a member gets Fraction weights from the LP equalities solved exactly
+       on the support of HiGHS's simplex point, or failing that of an
+       interior point, checked feasible before they are returned;
+    3. otherwise the separation LP proposes y, and y.p > h(y) is checked.
+    If no certificate checks, it raises CertificationError.  That happens
+    to tables within rounding of the boundary, whose exact value may fall
+    on either side.  A mixture of vertices computed in floating point is
+    rounded, and the rounded table usually leaves the affine hull, so the
+    exact route rejects it, with proof; use mode="float" for float data,
+    and exact route inputs that are exact binary fractions (e.g. mixtures
+    with weights in multiples of 1/16).
+
+    mode "auto" takes the exact route for N <= 3 and the float route above.
     """
     n = behavior.n_locations
     if mode == "auto":
         mode = "exact" if n <= 3 else "float"
-    if mode == "exact" and n > MAX_N_EXACT:
-        raise PolytopeSizeError(f"exact mode capped at N={MAX_N_EXACT}")
-    if mode == "float" and n > MAX_N_FLOAT:
-        raise PolytopeSizeError(f"floating mode capped at N={MAX_N_FLOAT}")
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    vertices = enumerate_vertices(n, k)
-    tables = [vertex_table(v, n) for v in vertices]
-
+    _check_size(n, k, MAX_N_EXACT if mode == "exact" else MAX_N_FLOAT, f"{mode} mode")
+    lp = _compact_lp(n, k)
+    p_float = np.array(behavior.p1)
     if mode == "exact":
-        rows = [[Fraction(t[x]) for t in tables] for x in range(2 ** n)]
-        rows.append([Fraction(1)] * len(vertices))
-        rhs = [Fraction(p) for p in behavior.p1] + [Fraction(1)]
-        sol = solve_feasibility(rows, rhs)
-        if sol is None:
+        p = [Fraction(v) for v in behavior.p1]
+        y = walsh_certificate(p, n, k)
+        if y is not None and separates(y, p, lp.index):
             return MembershipResult(False, None)
-        weights = {v: w for v, w in zip(vertices, sol) if w != 0}
-        return MembershipResult(True, weights)
-
-    a_eq = np.array(tables, dtype=float).T  # (2^n, nv)
-    a_eq = np.vstack([a_eq, np.ones(len(vertices))])
-    b_eq = np.concatenate([np.array(behavior.p1), [1.0]])
-    res = linprog(
-        c=np.zeros(len(vertices)),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status == 2:
+    res = _membership_lp(lp, p_float)
+    if mode == "float":
+        return _float_member(lp, res.x, p_float) if res.status == 0 else MembershipResult(False, None)
+    if res.status == 0:
+        member = _exact_member(lp, res.x, p, TIGHT_TOL)
+        if member is None:
+            inner = _membership_lp(lp, p_float, interior=True)
+            member = _exact_member(lp, inner.x, p, INTERIOR_TOL) if inner.status == 0 else None
+        if member is not None:
+            return member
+    if separates(_separating_vector(lp, p_float), p, lp.index):
         return MembershipResult(False, None)
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failure: {res.message}")
-    resid = np.max(np.abs(a_eq @ res.x - b_eq))
-    if resid > FLOAT_FEAS_TOL:
-        raise RuntimeError(f"LP residual {resid:g} above tolerance")
-    weights = {v: float(w) for v, w in zip(vertices, res.x) if w > 1e-12}
-    return MembershipResult(True, weights)
+    raise CertificationError(f"no exact certificate for N={n}, k={k}: the table may lie on the polytope's boundary")

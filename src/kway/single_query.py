@@ -16,9 +16,10 @@ delta is computed by two independent routes:
 * delta_closed_form, for the half/half +-phi pattern: the analytic spectrum,
   a bulk eigenvalue of multiplicity N-2 and a 2x2 block.
 
-The dense operators of build_discrimination_pair serve helstrom and
-induced_behavior, which need the measurement itself, and are the oracle
-the tests check both routes against.
+The dense operators of build_discrimination_pair, built from the closed
+form of rho_1's entries, serve helstrom and induced_behavior, which need
+the measurement itself.  The tests check both delta routes against a
+dense eigensolve of the operators averaged one outer product at a time.
 
 Note: the commonly quoted violation threshold cos(phi) > (N(N-6)+5)/(N^2-2N+3)
 for odd N does not match the analytic spectrum; the condition
@@ -37,13 +38,14 @@ import numpy as np
 from .behavior import Behavior
 from .linalg import check_hermitian, eigvalsh, positive_eigenspace_projector, trace_norm
 
-STATE_TOL = 1e-12
 DENSITY_TOL = 1e-10
 POVM_TOL = 1e-10
 # build_discrimination_pair allocates N x N complex operators (16 N^2 bytes
 # each); delta_numeric holds O(N) floats plus the pattern itself.
 MAX_N_DENSE = 2048
 MAX_N_STRUCTURED = 1_000_000
+# induced_behavior holds the 2^N encoded states, 16 N 2^N bytes.
+MAX_N_TABLE = 16
 
 
 class Regime(enum.Enum):
@@ -109,12 +111,6 @@ class ClosedFormSpectrum:
     regime: Regime
 
 
-def assert_state(psi: np.ndarray, tol: float = STATE_TOL):
-    norm = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state norm^2 = {norm!r}, not 1")
-
-
 def assert_density_operator(rho: np.ndarray, tol: float = DENSITY_TOL):
     check_hermitian(rho, tol)
     if abs(np.trace(rho).real - 1.0) > tol:
@@ -143,7 +139,11 @@ def encoded_state(n: int, bits, pattern: PhasePattern) -> np.ndarray:
 
 
 def build_discrimination_pair(n: int, pattern: PhasePattern):
-    """(p0, rho_0, p1, rho_1): all-zero encoding vs averaged one-hot encodings."""
+    """(p0, rho_0, p1, rho_1): all-zero encoding vs averaged one-hot encodings.
+
+    With z_j = e^{i phi_j}, averaging the N one-hot encodings gives
+    rho_1 = 1/N on the diagonal and (N - 2 + z_j + conj(z_k))/N^2 off it.
+    """
     if n < 2:
         raise ValueError("need at least two locations")
     if n > MAX_N_DENSE:
@@ -152,13 +152,10 @@ def build_discrimination_pair(n: int, pattern: PhasePattern):
         raise ValueError("pattern length must equal N")
     psi0 = uniform_state(n)
     rho0 = np.outer(psi0, psi0.conj())
-    rho1 = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        bits = [0] * n
-        bits[i] = 1
-        psi = apply_phase_oracle(psi0, bits, pattern)
-        rho1 += np.outer(psi, psi.conj())
-    rho1 /= n
+    z = np.exp(1j * np.array(pattern.phases))
+    # z_j + conj(z_k) first, as in delta_numeric, keeps rho_1 exactly Hermitian
+    rho1 = ((n - 2) + (z[:, None] + z.conj()[None, :])) / (n * n)
+    np.fill_diagonal(rho1, 1.0 / n)
     return 1.0 / (n + 1), rho0, n / (n + 1), rho1
 
 
@@ -257,17 +254,20 @@ def violation_threshold(n: int) -> float:
 
 
 def induced_behavior(n: int, pattern: PhasePattern, povm: BinaryPOVM) -> Behavior:
-    """Device-independent table P(1|x) = Tr(pi1 rho_x) over all 2^N encodings."""
+    """Device-independent table P(1|x) = Tr(pi1 rho_x) over all 2^N encodings.
+
+    Row x of the (2^N x N) matrix psi is the encoded state of input x.
+    """
     if len(pattern) != n:
         raise ValueError("pattern length must equal N")
+    if n > MAX_N_TABLE:
+        raise ValueError(f"behavior tables capped at N={MAX_N_TABLE}")
     if povm.pi1.shape[0] != n:
         raise ValueError("POVM dimension must equal N")
-    table = []
-    for x in range(2 ** n):
-        bits = [(x >> i) & 1 for i in range(n)]
-        psi = encoded_state(n, bits, pattern)
-        table.append(float(np.real(psi.conj() @ povm.pi1 @ psi)))
-    return Behavior.from_table(n, table)
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    psi = np.exp(1j * bits * np.array(pattern.phases)) / math.sqrt(n)
+    table = np.einsum("xi,xi->x", psi.conj(), psi @ povm.pi1.T).real
+    return Behavior.from_table(n, table.tolist())
 
 
 def delta_max(n: int):

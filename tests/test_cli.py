@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kway import single_query
+from kway import cli, polytope, single_query
 from kway.cli import main
 from kway.linalg import NotHermitianError
 from kway.polytope import PolytopeSizeError
@@ -114,8 +114,20 @@ class TestPolytopeCommand:
         assert "max_B 2" in out
 
     def test_size_guard(self, capsys):
-        code, _, _ = run(capsys, "polytope", "--n", "5", "--k", "2")
-        assert code == 2
+        code, out, err = run(capsys, "polytope", "--n", str(polytope.MAX_N_FLOAT + 1), "--k", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: polytope command capped at n = {polytope.MAX_N_FLOAT}\n"
+
+    def test_closed_forms_enumerate_nothing(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("vertices enumerated")
+
+        monkeypatch.setattr(polytope, "enumerate_vertices", refuse)
+        code, out, _ = run(capsys, "polytope", "--n", "4", "--k", "4")
+        assert code == 0
+        assert out == "n 4\nk 4\nvertices 65536\nmax_B 4\nexpected 4\n"
+        code, out, _ = run(capsys, "polytope", "--n", str(polytope.MAX_N_FLOAT), "--k", "3")
+        assert code == 0 and "max_B 7\n" in out
 
 
 class TestGroverCommand:
@@ -181,6 +193,15 @@ class TestScanCommand:
         assert code == 2 and out == ""
         assert err == f"error: scan requires 2 <= n-min <= n-max <= {cap}\n"
 
+    def test_run_length_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_delta_max_row", lambda n: (n,) + (0.0,) * 6)
+        cap, half = cli.MAX_SCAN_N_SUM, cli.MAX_SCAN_N_SUM // 2
+        code, out, _ = run(capsys, "scan", "--n-min", str(cap), "--n-max", str(cap))
+        assert code == 0 and out.count("\n") == 2  # sum of N = cap
+        code, out, err = run(capsys, "scan", "--n-min", str(half), "--n-max", str(half + 1))
+        assert code == 2 and out == ""  # sum of N = cap + 1
+        assert err == f"error: scan caps the sum of N over its rows at {cli.MAX_SCAN_N_SUM}\n"
+
 
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
@@ -210,7 +231,8 @@ def test_argv_fuzz_exits_cleanly(capsys, tmp_path):
     """Every generated command line exits 0 or 2 without a traceback."""
     # (valid values, invalid values) per kind of flag
     far = [str(10 * single_query.MAX_N_STRUCTURED), "10" * 12]  # above every command's cap
-    sizes = (["2", "3"], ["-3", "0", "1", "nan", "abc", "", "2.5"] + far)
+    caps = [str(polytope.MAX_N_FLOAT + 1), str(cli.MAX_N_WITNESS + 1), "1415"]  # 2 + ... + 1415 > MAX_SCAN_N_SUM
+    sizes = (["2", "3", str(polytope.MAX_N_FLOAT)], ["-3", "0", "1", "nan", "abc", "", "2.5"] + caps + far)
     phases = (["-1", "0", "1", "3.14159", "1e308", "-1e308"], ["nan", "inf", "-inf", "abc", ""])
     formats = (["csv", "json"], ["xml"])
     outs = ([str(tmp_path / "out.csv")], [str(tmp_path / "missing" / "out.csv"), str(tmp_path)])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import inversion_about_mean
 
 from kway.grover import (
     GroverRun,
@@ -9,7 +10,6 @@ from kway.grover import (
     grover_rho_pair,
     grover_state_closed,
     grover_state_iterative,
-    inversion_about_mean,
     optimal_query_count,
     quantum_win_prob,
     speedup_curve,

@@ -1,15 +1,22 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import VERTEX_LP_TOL, vertex_lp_member
 
 from kway.behavior import Behavior, eval_B
 from kway.polytope import (
+    MAX_N_ENUMERATE,
+    MAX_N_EXACT,
+    MAX_N_FLOAT,
     DeterministicVertex,
     PolytopeSizeError,
     enumerate_vertices,
     is_k_way,
     max_B_over_vertices,
+    vertex_count,
     vertex_table,
     vertex_to_behavior,
 )
@@ -57,15 +64,44 @@ class TestEnumeration:
 
     def test_size_guards(self):
         with pytest.raises(PolytopeSizeError):
-            enumerate_vertices(6, 2)
+            enumerate_vertices(MAX_N_ENUMERATE + 1, 2)
         with pytest.raises(PolytopeSizeError):
             enumerate_vertices(3, 0)
 
 
+class TestVertexCount:
+    def test_matches_enumeration(self):
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                if (n, k) != (4, 4):  # 65536 vertices: the closed form alone
+                    assert vertex_count(n, k) == len(enumerate_vertices(n, k)), (n, k)
+        assert vertex_count(4, 4) == 2 ** 2 ** 4
+
+    def test_values(self):
+        assert vertex_count(3, 2) == 38
+        assert vertex_count(4, 3) == 942
+        assert vertex_count(5, 4) == 325_262
+
+    def test_size_guards(self):
+        with pytest.raises(PolytopeSizeError):
+            vertex_count(MAX_N_FLOAT + 1, 2)
+        with pytest.raises(PolytopeSizeError):
+            vertex_count(3, 4)
+
+
 class TestMaxB:
-    @pytest.mark.parametrize("n,k,expected", [(2, 1, 1), (3, 1, 2), (3, 2, 2), (3, 3, 3), (2, 2, 2)])
+    @pytest.mark.parametrize(
+        "n,k,expected",
+        [(2, 1, 1), (3, 1, 2), (3, 2, 2), (3, 3, 3), (2, 2, 2), (4, 3, 3), (4, 4, 4), (8, 4, 7), (8, 8, 8)],
+    )
     def test_bound(self, n, k, expected):
         assert max_B_over_vertices(n, k) == pytest.approx(expected)
+
+    def test_matches_the_vertex_maximum(self):
+        for n in range(1, 5):
+            for k in range(1, min(n, 3) + 1):
+                best = max(eval_B(vertex_to_behavior(v, n)) for v in enumerate_vertices(n, k))
+                assert max_B_over_vertices(n, k) == best
 
 
 class TestMembership:
@@ -132,10 +168,10 @@ class TestMembership:
             assert is_k_way(b, 1, mode="exact").is_member == is_k_way(b, 1, mode="float").is_member
 
     def test_size_guards(self):
-        b = Behavior.from_table(5, [0.5] * 32)
-        with pytest.raises(PolytopeSizeError):
-            is_k_way(b, 1, mode="exact")
-        assert is_k_way(b, 1, mode="float").is_member
+        for mode, cap in (("exact", MAX_N_EXACT), ("float", MAX_N_FLOAT)):
+            with pytest.raises(PolytopeSizeError):
+                is_k_way(Behavior.from_table(cap + 1, [0.5] * 2 ** (cap + 1)), 1, mode=mode)
+            assert is_k_way(Behavior.from_table(cap, [0.5] * 2 ** cap), 1, mode=mode).is_member
 
     def test_json_shape(self):
         res = is_k_way(PERFECT_N2, 1, mode="exact")
@@ -143,3 +179,83 @@ class TestMembership:
 
         obj = json.loads(res.to_json(2, 1))
         assert obj == {"n": 2, "k": 1, "member": False, "weights": []}
+
+
+def test_importing_kway_imports_no_scipy():
+    code = "import sys, kway, kway.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True).returncode == 0
+
+
+def _member_weights_ok(res, table, k):
+    w = np.array([float(x) for x in res.weights.values()])
+    rebuilt = sum(wi * np.array(vertex_table(v, len(table).bit_length() - 1), dtype=float)
+                  for wi, v in zip(w, res.weights))
+    return (all(len(v.locations) == k for v in res.weights) and np.all(w > 0)
+            and abs(w.sum() - 1) <= VERTEX_LP_TOL and np.max(np.abs(rebuilt - table)) <= VERTEX_LP_TOL)
+
+
+def _witness_table(n):
+    """A table with B = N > N - 1 on the (N-1)-way polytope's affine hull (N = 3, 4)."""
+    weight = [bin(x).count("1") for x in range(2 ** n)]
+    level = {3: [0, 1, 1, 0], 4: [0, 1, 0.5, 0, 1]}[n]
+    return np.array([level[w] for w in weight], dtype=float)
+
+
+def _differential_tables(n, k, rng, count):
+    """Interior members, uniform random tables, and pairs of near-boundary
+    tables on both sides of the witness facet B = N - 1."""
+    vertices = np.array([vertex_table(v, n) for v in enumerate_vertices(n, k)], dtype=float)
+    tables = []
+    while len(tables) < count:
+        ids = rng.choice(len(vertices), 6, replace=False)
+        inner = 0.25 + 0.5 * rng.dirichlet(np.ones(6)) @ vertices[ids]
+        outer = rng.uniform(0, 1, 2 ** n)
+        outer[0], outer[[1 << i for i in range(n)]] = 0.0, 1.0  # B = N
+        b_inner, b_outer = (-t[0] + sum(t[1 << i] for i in range(n)) for t in (inner, outer))
+        tables.append(inner)
+        tables.append(rng.uniform(0, 1, 2 ** n))
+        for delta in (-1e-4, 1e-4):
+            t = (n - 1 + delta - b_inner) / (b_outer - b_inner)
+            tables.append(inner + t * (outer - inner))
+    return tables[:count]
+
+
+@pytest.mark.parametrize("n,k,count", [(3, 1, 12), (3, 2, 12), (4, 1, 12), (4, 2, 12), (4, 3, 12), (5, 2, 10), (5, 3, 8)])
+def test_float_route_matches_the_vertex_lp(n, k, count):
+    rng = np.random.default_rng(100 * n + k)
+    verdicts = []
+    for table in _differential_tables(n, k, rng, count):
+        b = Behavior.from_table(n, table)
+        res = is_k_way(b, k, mode="float")
+        assert res.is_member == vertex_lp_member(b, k), table.tolist()
+        assert not res.is_member or _member_weights_ok(res, np.array(b.p1), k)
+        verdicts.append(res.is_member)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_exact_route_matches_the_vertex_lp_on_dyadic_tables(n):
+    """Dyadic members and dyadic points near the witness facet, on the affine
+    hull, so that the exact and the float verdicts agree."""
+    k = n - 1
+    rng = np.random.default_rng(n)
+    vertices = np.array([vertex_table(v, n) for v in enumerate_vertices(n, k)], dtype=float)
+    outer = _witness_table(n)
+    verdicts = []
+    for _ in range(8):
+        ids = rng.choice(len(vertices), 4, replace=False)
+        inner = 0.25 + 0.5 * ((1 + rng.multinomial(12, [0.25] * 4)) / 16) @ vertices[ids]
+        b_inner = -inner[0] + sum(inner[1 << i] for i in range(n))
+        t_star = (n - 1 - b_inner) / (n - b_inner)
+        for t in (0.0, np.floor(t_star * 1024 - 1) / 1024, np.ceil(t_star * 1024 + 1) / 1024):
+            b = Behavior.from_table(n, inner + t * (outer - inner))
+            res = is_k_way(b, k, mode="exact")
+            assert res.is_member == vertex_lp_member(b, k), (t, t_star)
+            if res.is_member:
+                assert sum(res.weights.values()) == 1
+                mix = [Fraction(0)] * 2 ** n
+                for v, w in res.weights.items():
+                    mix = [m + w * bit for m, bit in zip(mix, vertex_table(v, n))]
+                assert mix == [Fraction(p) for p in b.p1]
+            verdicts.append(res.is_member)
+    assert 8 < sum(verdicts) < 24

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import dense_delta
+from oracles import dense_delta, loop_discrimination_pair, loop_induced_behavior
 
 from kway.behavior import eval_B
 from kway.polytope import is_k_way
 from kway.single_query import (
     MAX_N_DENSE,
     MAX_N_STRUCTURED,
+    MAX_N_TABLE,
     BinaryPOVM,
     PhasePattern,
     Regime,
@@ -117,6 +118,16 @@ class TestDiscriminationPair:
     def test_needs_two_locations(self):
         with pytest.raises(ValueError):
             build_discrimination_pair(1, PhasePattern((PI,)))
+
+    def test_closed_form_entries_match_the_outer_products(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 7, 64, 300):
+            for pattern in (PhasePattern(tuple(rng.uniform(-PI, PI, n))), PhasePattern.half_half(n, 2.0)):
+                got, want = build_discrimination_pair(n, pattern), loop_discrimination_pair(n, pattern)
+                assert got[0] == want[0] and got[2] == want[2]
+                assert np.max(np.abs(got[1] - want[1])) <= 1e-12
+                assert np.max(np.abs(got[3] - want[3])) <= 1e-12
+                assert np.array_equal(got[3], got[3].conj().T)
 
     def test_dense_size_cap(self):
         n = MAX_N_DENSE + 1
@@ -299,6 +310,20 @@ class TestInducedBehavior:
         b = induced_behavior(3, pattern, self.helstrom_povm(3, pattern))
         d = delta_numeric(3, pattern)
         assert eval_B(b) == pytest.approx(2 + d, abs=1e-9)
+
+    def test_vectorized_table_matches_the_loop(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 5, 8):
+            pattern = PhasePattern(tuple(rng.uniform(-PI, PI, n)))
+            povm = self.helstrom_povm(n, pattern)
+            got, want = induced_behavior(n, pattern, povm), loop_induced_behavior(n, pattern, povm)
+            assert np.max(np.abs(np.subtract(got.p1, want.p1))) <= 1e-12
+
+    def test_table_size_cap(self):
+        n = MAX_N_TABLE + 1
+        povm = BinaryPOVM(np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=f"capped at N={MAX_N_TABLE}"):
+            induced_behavior(n, PhasePattern((0.0,) * n), povm)
 
     def test_witness_chain_violation_is_not_two_way(self):
         phi, _ = delta_max(3)
