@@ -9,9 +9,12 @@ Membership is decided in the marginal form of local-polytope LPs (Brunner
 et al., Rev. Mod. Phys. 86, 419, 2014, Sec. II).  The functions on one
 subset S fill the cube [0, 1]^{2^k}, so a table is k-way iff
 P(1|x) = sum_S g_S(x_S) with 0 <= g_S(a) <= q_S, q_S >= 0 and sum_S q_S = 1.
-That LP has C(N,k)(2^k + 1) columns, and its sparse matrices are built
-once per (N, k).  A staircase decomposition turns each box point g_S/q_S
-into at most 2^k + 1 weighted vertices.
+That LP has C(N,k)(2^k + 1) columns.  Its sparse matrices are built once
+per (N, k), column by column, and HiGHS (Huangfu and Hall, Math. Prog.
+Comp. 10, 2018) solves it through scipy's compiled extension, called
+directly: a fresh solver per LP, through the one seam `linprog`.  A
+staircase decomposition turns each box point g_S/q_S into at most
+2^k + 1 weighted vertices.
 
 The vertex count and the largest witness value have closed forms
 (vertex_count, max_B_over_vertices).  enumerate_vertices lists the
@@ -21,13 +24,16 @@ their oracle.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import json
-import warnings
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,24 +49,82 @@ FLOAT_FEAS_TOL = 1e-8
 WEIGHT_TOL = 1e-12    # float weights at or below this are dropped
 TIGHT_TOL = 1e-9      # a simplex q_S - g_S(a) or g_S(a) at or below this reads as 0
 INTERIOR_TOL = 1e-6   # the same for an interior point, whose primal tolerance is 1e-7
-# HiGHS's presolve left the status unknown on an infeasible N = 8, k = 4
-# table that it decides without presolve; without it, small LPs also solve
-# as fast or faster.
-HIGHS_OPTIONS = {"presolve": False}
 
 
-class _LinprogOnFirstCall:
-    """scipy.optimize.linprog, imported on the first call: only the LP
-    needs scipy, which adds about 50 MB to any process importing it.  An
-    instance, so that benchmark/tracer.py times it as its own layer."""
+def _highs():
+    """scipy's HiGHS extension, scipy.optimize._highspy._core, loaded alone.
 
-    def __call__(self, *args, **kwargs):
-        from scipy.optimize import linprog as scipy_linprog
+    Importing it the usual way runs scipy.optimize's __init__, which costs
+    about a second and 50 MB; the extension alone costs a few MB.  It is
+    loaded under its own name and registered in sys.modules, so a later
+    `import scipy.optimize` reuses this module object.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
+    if scipy is not None:
+        folder = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_core" + suffix)
+            if os.path.exists(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    raise ImportError(f"kway needs scipy>=1.17, which ships the HiGHS extension {name}")
 
-        return scipy_linprog(*args, **kwargs)
+
+class _LPResult(NamedTuple):
+    status: int               # scipy's codes: 0 optimal, 2 infeasible, 4 any other outcome
+    message: str
+    x: Optional[np.ndarray]   # only when optimal
 
 
-linprog = _LinprogOnFirstCall()
+class _DirectHighs:
+    """One LP by HiGHS: minimize c.x subject to row_lower <= A x <= row_upper
+    and col_lower <= x <= col_upper, with A a _Csc matrix.
+
+    Every LP of this module goes through the instance `linprog`: tests
+    substitute fakes there, and benchmark/tracer.py times it as a layer of
+    its own, which it does for an instance but not for a function.  Each
+    call builds a fresh solver, so a verdict never depends on earlier calls.
+
+    With the options of scipy's linprog, the points are bit for bit
+    the ones it returns.  Presolve is off: it left the status unknown on an
+    infeasible N = 8, k = 4 table that HiGHS decides without it, and small
+    LPs solve as fast or faster without it.  The dual simplex runs, or with
+    interior=True the interior-point method without crossover.
+    """
+
+    def __call__(self, c, *, matrix, row_lower, row_upper, col_lower, col_upper, interior=False) -> _LPResult:
+        core = _highs()
+        lp = core.HighsLp()
+        lp.num_col_, lp.num_row_ = len(c), matrix.num_row
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, col_lower, col_upper
+        lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+        a = lp.a_matrix_
+        a.format_ = core.MatrixFormat.kColwise
+        a.num_col_, a.num_row_ = len(c), matrix.num_row
+        a.start_, a.index_, a.value_ = matrix.start, matrix.index, matrix.value
+        highs = core._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("presolve", "off")
+        highs.setOptionValue("simplex_strategy", int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
+        if interior:
+            highs.setOptionValue("solver", "ipm")
+            highs.setOptionValue("run_crossover", "off")
+        highs.passModel(lp)
+        highs.run()
+        status = highs.getModelStatus()
+        message = highs.modelStatusToString(status)
+        if status == core.HighsModelStatus.kOptimal:
+            return _LPResult(0, message, np.array(highs.getSolution().col_value))
+        return _LPResult(2 if status == core.HighsModelStatus.kInfeasible else 4, message, None)
+
+
+linprog = _DirectHighs()
 
 
 class PolytopeSizeError(ValueError):
@@ -68,8 +132,9 @@ class PolytopeSizeError(ValueError):
 
 
 class CertificationError(RuntimeError):
-    """The exact route found neither a member point nor a separating
-    hyperplane that checks in exact arithmetic."""
+    """No verdict checks: the exact route found neither a member point nor
+    a separating hyperplane that checks in exact arithmetic, the float
+    weights miss the table, or HiGHS ended neither optimal nor infeasible."""
 
 
 @dataclass(frozen=True, order=True)
@@ -190,9 +255,32 @@ def fibre_index(n: int, k: int) -> np.ndarray:
     return index
 
 
+class _Csc(NamedTuple):
+    """A sparse matrix column by column, as HiGHS takes it: column j holds
+    value[start[j]:start[j + 1]] in rows index[start[j]:start[j + 1]]."""
+
+    num_row: int
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+
+
+def _csc(rows, cols, vals, shape) -> _Csc:
+    """The CSC form of the entries (rows[i], cols[i], vals[i]), each given
+    once, with the rows sorted within each column."""
+    rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
+    order = np.lexsort((rows, cols))
+    start = np.zeros(shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=shape[1]), out=start[1:])
+    matrix = _Csc(shape[0], start, rows[order].astype(np.int32), vals[order].astype(float))
+    for array in matrix[1:]:
+        array.setflags(write=False)   # cached per (N, k) and shared by every call
+    return matrix
+
+
 @dataclass(frozen=True)
 class _CompactLP:
-    """The membership LP and the separation LP for one (N, k), as sparse matrices.
+    """The membership LP and the separation LP for one (N, k), as CSC matrices.
 
     Membership columns: g_S(a) at s 2^k + a, then q_S at C 2^k + s.
     Separation columns: y_x, then u_{S,a}, then t.
@@ -201,15 +289,12 @@ class _CompactLP:
     subsets: tuple
     index: np.ndarray
     g_cols: np.ndarray    # g_cols[s, x]: the column of g_S(x_S)
-    a_eq: object          # sum_S g_S(x_S) = p(x) for each x, then sum_S q_S = 1
-    a_ub: object          # g_S(a) - q_S <= 0
-    sep_a_ub: object      # sum_{x_S = a} y_x - u_{S,a} <= 0, then sum_a u_{S,a} - t <= 0
+    member: _Csc          # g_S(a) - q_S <= 0, then sum_S g_S(x_S) = p(x) for each x, then sum_S q_S = 1
+    separation: _Csc      # sum_{x_S = a} y_x - u_{S,a} <= 0, then sum_a u_{S,a} - t <= 0
 
 
 @functools.lru_cache(maxsize=None)
 def _compact_lp(n: int, k: int) -> _CompactLP:
-    from scipy.sparse import csr_matrix
-
     index = fibre_index(n, k)
     c, m, size = index.shape[0], 2 ** k, 2 ** n
     cm = c * m
@@ -217,22 +302,21 @@ def _compact_lp(n: int, k: int) -> _CompactLP:
     g_col = g_cols.ravel()
     xs = np.tile(np.arange(size), c)
     cells, subset_of_cell = np.arange(cm), np.arange(cm) // m
-
-    def matrix(rows, cols, vals, shape):
-        return csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
-
     ones, minus = np.ones(cm), -np.ones(cm)
-    a_eq = matrix([xs, np.full(c, size)], [g_col, cm + np.arange(c)],
-                  [np.ones(c * size), np.ones(c)], (size + 1, cm + c))
-    a_ub = matrix([cells, cells], [cells, cm + subset_of_cell], [ones, minus], (cm, cm + c))
-    sep_a_ub = matrix(
+    member = _csc(
+        [cells, cells, cm + xs, np.full(c, cm + size)],
+        [cells, cm + subset_of_cell, g_col, cm + np.arange(c)],
+        [ones, minus, np.ones(c * size), np.ones(c)],
+        (cm + size + 1, cm + c),
+    )
+    separation = _csc(
         [g_col, cells, cm + subset_of_cell, cm + np.arange(c)],
         [xs, size + cells, size + cells, np.full(c, size + cm)],
         [np.ones(c * size), minus, ones, -np.ones(c)],
         (cm + c, size + cm + 1),
     )
     subsets = tuple(combinations(range(1, n + 1), k))
-    return _CompactLP(subsets, index, g_cols, a_eq, a_ub, sep_a_ub)
+    return _CompactLP(subsets, index, g_cols, member, separation)
 
 
 # Staircase vertices recur from call to call; one shared object per label
@@ -276,7 +360,7 @@ def _float_member(lp: _CompactLP, x, p) -> MembershipResult:
         rebuilt += box[lp.index[s]]
     gap = max(float(np.max(np.abs(rebuilt - p))), abs(total - 1.0))
     if gap > FLOAT_FEAS_TOL:
-        raise RuntimeError(f"LP weights miss the table by {gap:g}")
+        raise CertificationError(f"LP weights miss the table by {gap:g}")
     return MembershipResult(True, weights)
 
 
@@ -330,40 +414,43 @@ def _membership_lp(lp: _CompactLP, p_float, interior=False):
     """HiGHS on the compact LP: a vertex of the feasible set by dual simplex,
     or with interior=True a point inside it, by the interior-point method
     without crossover."""
-    method, options = ("highs-ipm", {**HIGHS_OPTIONS, "run_crossover": "off"}) if interior else ("highs", HIGHS_OPTIONS)
-    with warnings.catch_warnings():
-        # scipy passes run_crossover to HiGHS verbatim, and warns that it did
-        warnings.filterwarnings("ignore", message="Unrecognized options")
-        res = linprog(c=np.zeros(lp.a_eq.shape[1]), A_ub=lp.a_ub, b_ub=np.zeros(lp.a_ub.shape[0]), A_eq=lp.a_eq,
-                      b_eq=np.append(p_float, 1.0), bounds=(0, None), method=method, options=options)
+    cols = len(lp.member.start) - 1
+    cells = cols - len(lp.subsets)
+    res = linprog(np.zeros(cols), matrix=lp.member, interior=interior,
+                  row_lower=np.concatenate([np.full(cells, -np.inf), p_float, [1.0]]),
+                  row_upper=np.concatenate([np.zeros(cells), p_float, [1.0]]),
+                  col_lower=np.zeros(cols), col_upper=np.full(cols, np.inf))
     if res.status not in (0, 2):
-        raise RuntimeError(f"LP solver failure: {res.message}")
+        raise CertificationError(f"LP solver failure: {res.message}")
     return res
 
 
 def _separating_vector(lp: _CompactLP, p_float):
     """y from the separation LP: maximize y.p - t over |y| <= 1, t >= h(y)."""
     size = len(p_float)
-    cols = lp.sep_a_ub.shape[1]
+    cols = len(lp.separation.start) - 1
     cost = np.zeros(cols)
     cost[:size], cost[-1] = -p_float, 1.0
-    res = linprog(c=cost, A_ub=lp.sep_a_ub, b_ub=np.zeros(lp.sep_a_ub.shape[0]),
-                  bounds=[(-1.0, 1.0)] * size + [(0.0, None)] * (cols - size), method="highs",
-                  options=HIGHS_OPTIONS)
+    res = linprog(cost, matrix=lp.separation,
+                  row_lower=np.full(lp.separation.num_row, -np.inf), row_upper=np.zeros(lp.separation.num_row),
+                  col_lower=np.concatenate([-np.ones(size), np.zeros(cols - size)]),
+                  col_upper=np.concatenate([np.ones(size), np.full(cols - size, np.inf)]))
     if res.status != 0:
-        raise RuntimeError(f"LP solver failure: {res.message}")
+        raise CertificationError(f"LP solver failure: {res.message}")
     return [Fraction(v) for v in res.x[:size].tolist()]
 
 
 def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult:
     """Is the behavior a convex mixture of level-k vertices?
 
-    Both routes solve the compact LP of the module docstring with scipy's
-    HiGHS; infeasibility is a negative result, not an error.
+    Both routes solve the compact LP of the module docstring with HiGHS,
+    called directly; infeasibility is a negative result, not an error.  An
+    LP that HiGHS ends neither optimal nor infeasible raises
+    CertificationError.
 
     mode "float" (N <= MAX_N_FLOAT) reads float weights off HiGHS's point
     and checks that they sum to 1 and reproduce the table within
-    FLOAT_FEAS_TOL; otherwise it raises RuntimeError.
+    FLOAT_FEAS_TOL; otherwise it raises CertificationError.
 
     mode "exact" (N <= MAX_N_EXACT) decides membership for the exact
     rational value of each float entry, and every verdict carries a proof

@@ -183,3 +183,17 @@ def test_uncertified_verdict_raises_and_exits_1(capsys, monkeypatch):
     assert main(["witness", "--n", "3", "--phi", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: no exact certificate") and err.count("\n") == 1
+
+
+def test_solver_failure_raises_and_exits_1(capsys, monkeypatch):
+    class Failed:
+        status, message, x = 4, "Time limit reached", None
+
+    monkeypatch.setattr(polytope, "linprog", lambda c, **kwargs: Failed())
+    b = Behavior.from_table(2, [0.5] * 4)
+    for mode in ("exact", "float"):
+        with pytest.raises(CertificationError, match="LP solver failure: Time limit reached"):
+            is_k_way(b, 1, mode=mode)
+    assert main(["witness", "--n", "3", "--phi", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: LP solver failure: Time limit reached\n"

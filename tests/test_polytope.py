@@ -1,11 +1,16 @@
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import VERTEX_LP_TOL, vertex_lp_member
+from oracles import VERTEX_LP_TOL, linprog_membership, linprog_separation, vertex_lp_member
 
+import kway
+from kway import polytope
 from kway.behavior import Behavior, eval_B
 from kway.polytope import (
     MAX_N_ENUMERATE,
@@ -14,6 +19,7 @@ from kway.polytope import (
     DeterministicVertex,
     PolytopeSizeError,
     enumerate_vertices,
+    fibre_index,
     is_k_way,
     max_B_over_vertices,
     vertex_count,
@@ -181,9 +187,70 @@ class TestMembership:
         assert obj == {"n": 2, "k": 1, "member": False, "weights": []}
 
 
+def _run_with_kway(code):
+    """stdout of `python -c code`, with the kway under test on the path; a
+    failed run, an import error included, fails the test with its stderr."""
+    path = [str(Path(kway.__file__).parents[1])] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def test_importing_kway_imports_no_scipy():
-    code = "import sys, kway, kway.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], capture_output=True).returncode == 0
+    code = "import sys, kway, kway.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _run_with_kway(code) == "[]\n"
+
+
+def test_a_verdict_loads_only_the_highs_extension():
+    """In-process tests import scipy.optimize first (tests/oracles.py), so this runs in a fresh process."""
+    code = """if True:
+        import sys
+        from kway.behavior import Behavior
+        from kway.polytope import is_k_way
+        assert is_k_way(Behavior.from_table(4, [0.5] * 16), 2, mode="float").is_member
+        core = sys.modules["scipy.optimize._highspy._core"]
+        print([m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules])
+        from scipy.optimize import linprog
+        res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+        print(res.status, res.x.tolist())
+        from scipy.optimize._highspy import _core
+        print(_core is core is sys.modules["scipy.optimize._highspy._core"])
+    """
+    assert _run_with_kway(code).splitlines() == ["[]", "0 [1.0, 0.0]", "True"]
+
+
+def _lp_tables(n, k, rng):
+    """A member built from random box points g_S <= q_S, a uniform random
+    table, and their midpoint."""
+    q = rng.dirichlet(np.ones(comb(n, k)))
+    member = np.zeros(2 ** n)
+    for s, row in enumerate(fibre_index(n, k)):
+        member += (q[s] * rng.uniform(0, 1, 2 ** k))[row]
+    outer = rng.uniform(0, 1, 2 ** n)
+    return [member, outer, (member + outer) / 2]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_highs_called_directly_matches_scipy_linprog(n, monkeypatch):
+    """Same status and bit-identical points as scipy.optimize.linprog, on the
+    membership LP (simplex and interior point) and the separation LP."""
+    solved, direct = [], polytope.linprog
+    monkeypatch.setattr(polytope, "linprog", lambda c, **kwargs: solved.append(direct(c, **kwargs)) or solved[-1])
+    rng = np.random.default_rng(n)
+    statuses = set()
+    for k in range(1, n):
+        lp = polytope._compact_lp(n, k)
+        for table in _lp_tables(n, k, rng):
+            for interior in (False, True):
+                res, ref = polytope._membership_lp(lp, table, interior), linprog_membership(table, k, interior)
+                assert res.status == ref.status
+                assert res.status == 2 or np.array_equal(res.x, ref.x)
+                statuses.add(res.status)
+            polytope._separating_vector(lp, table)
+            ref = linprog_separation(table, k)
+            assert solved[-1].status == ref.status == 0 and np.array_equal(solved[-1].x, ref.x)
+    assert statuses == {0, 2}
 
 
 def _member_weights_ok(res, table, k):
