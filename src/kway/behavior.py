@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 
-PROB_TOL = 1e-12
+PROB_TOL = 1e-12  # entries this near [0, 1] are clamped into it; priors sum to 1 within it
 
 
 class BehaviorError(ValueError):
@@ -74,7 +74,7 @@ class GameSpec:
             raise BehaviorError("need one prior per relevant input")
         if any(p < 0 for p in self.priors):
             raise BehaviorError("priors must be nonnegative")
-        if abs(sum(self.priors) - 1.0) > 1e-12:
+        if abs(sum(self.priors) - 1.0) > PROB_TOL:
             raise BehaviorError("priors must sum to 1")
 
     @classmethod

@@ -29,6 +29,7 @@ MAX_SCAN_N_SUM = single_query.MAX_N_STRUCTURED
 # where delta = 0, its top Walsh coefficient is -4.4e-16, so the exact
 # route's "false" there would be an artifact of rounding.
 MAX_N_WITNESS = 3
+VIOLATION_TOL = 1e-9  # witness: a member table with B > N - 1 + this fails the consistency check
 
 
 class UsageError(ValueError):
@@ -63,12 +64,8 @@ def _emit(rows, header, fmt: str, out):
 
 
 def _resolve_phi(args) -> float:
-    if getattr(args, "phi_deg", None) is not None:
-        if getattr(args, "phi", None) is not None:
-            raise UsageError("give either --phi or --phi-deg, not both")
-        phi = math.radians(args.phi_deg)
-    else:
-        phi = args.phi
+    """--phi, or --phi-deg in radians; argparse lets at most one through."""
+    phi = args.phi if args.phi_deg is None else math.radians(args.phi_deg)
     if phi is not None and not math.isfinite(phi):
         raise UsageError("the phase must be a finite number")
     return phi
@@ -108,8 +105,8 @@ def cmd_violation(args) -> int:
 def cmd_polytope(args) -> int:
     if not 1 <= args.k <= args.n:
         raise UsageError("polytope requires 1 <= k <= n")
-    if args.n > polytope.MAX_N_FLOAT:
-        raise UsageError(f"polytope command capped at n = {polytope.MAX_N_FLOAT}")
+    if args.n > polytope.MAX_N_LP:
+        raise UsageError(f"polytope command capped at n = {polytope.MAX_N_LP}")
     max_b = polytope.max_B_over_vertices(args.n, args.k)
     expected = args.n - 1 if args.k < args.n else args.n
     print(f"n {args.n}")
@@ -117,7 +114,7 @@ def cmd_polytope(args) -> int:
     print(f"vertices {polytope.vertex_count(args.n, args.k)}")
     print(f"max_B {_fmt(max_b)}")
     print(f"expected {expected}")
-    if abs(max_b - expected) > 1e-12:
+    if max_b != expected:  # h(y_B) is an integer, exactly
         print("consistency FAILED: vertex bound does not match", file=sys.stderr)
         return EXIT_INCONSISTENT
     return EXIT_OK
@@ -126,12 +123,9 @@ def cmd_polytope(args) -> int:
 def cmd_grover(args) -> int:
     if args.n < 2 or args.n > grover.MAX_N_DENSE:
         raise UsageError(f"grover requires 2 <= n <= {grover.MAX_N_DENSE}")
-    k_max = args.kmax if args.kmax is not None else grover.optimal_query_count(args.n)
-    if not 0 <= k_max <= args.n:
-        raise UsageError("kmax must lie in [0, n]")
     rows = [
         (r.n, r.k, r.p_quantum, r.p_classical, r.gap)
-        for r in grover.speedup_curve(args.n, k_max)
+        for r in grover.speedup_curve(args.n, args.kmax)
     ]
     _emit(rows, ("n", "k", "p_quantum", "p_classical", "gap"), args.format, args.out)
     return EXIT_OK
@@ -154,7 +148,7 @@ def cmd_witness(args) -> int:
     print(f"phi {_fmt(phi)}")
     print(f"B {_fmt(b_val)}")
     print(f"member_k{k} {'true' if result.is_member else 'false'}")
-    if b_val > args.n - 1 + 1e-9 and result.is_member:
+    if b_val > args.n - 1 + VIOLATION_TOL and result.is_member:
         print("consistency FAILED: violation accepted by the LP", file=sys.stderr)
         return EXIT_INCONSISTENT
     return EXIT_OK

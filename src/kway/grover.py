@@ -18,6 +18,7 @@ import numpy as np
 from .behavior import classical_win_bound
 
 MAX_N_DENSE = 8192
+TIE_TOL = 1e-12  # success probabilities this close tie, and a tie goes to fewer queries
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,7 @@ def optimal_query_count(n: int) -> int:
     ks = range(1, k_hi + 1)
     vals = [math.sin((2 * k + 1) * theta / 2.0) ** 2 for k in ks]
     best = max(vals)
-    # ties (within roundoff) go to the fewest queries
-    return next(k for k, v in zip(ks, vals) if v >= best - 1e-12)
+    return next(k for k, v in zip(ks, vals) if v >= best - TIE_TOL)
 
 
 def grover_rho_pair(n: int, k: int):
@@ -126,11 +126,11 @@ def quantum_win_prob(n: int, k: int) -> float:
 
 
 def speedup_curve(n: int, k_max: Optional[int] = None):
-    """ScanRecords (k, quantum, classical) for k = 0 .. k_max."""
+    """ScanRecords (k, quantum, classical) for k = 0 .. k_max, with k_max in [0, N]."""
     if k_max is None:
         k_max = optimal_query_count(n)
-    if k_max > n:
-        raise ValueError("k_max must not exceed N")
+    if not 0 <= k_max <= n:
+        raise ValueError(f"k_max must lie in [0, N], got k_max={k_max}, N={n}")
     return [
         ScanRecord(n, k, quantum_win_prob(n, k), classical_win_bound(n, k))
         for k in range(k_max + 1)

@@ -40,12 +40,12 @@ import numpy as np
 from .behavior import Behavior
 from .exactlp import check_member, separates, solve, support_function, walsh_certificate
 
-# One verdict costs about a second or less up to these sizes, at every k;
-# the worst measured is k = 5 at N = 8 (see CHANGES.md for the timings).
-MAX_N_EXACT = 8
-MAX_N_FLOAT = 8
+# One verdict on either route costs about a second or less up to this size,
+# at every k; the worst measured is k = 5 at N = 8 (see CHANGES.md for the
+# timings).  vertex_count and max_B_over_vertices share it.
+MAX_N_LP = 8
 MAX_N_ENUMERATE = 5   # enumerate_vertices loops over C(N,k) 2^(2^k) labels
-FLOAT_FEAS_TOL = 1e-8
+FLOAT_FEAS_TOL = 1e-8  # float weights sum to 1 and rebuild the table within this
 WEIGHT_TOL = 1e-12    # float weights at or below this are dropped
 TIGHT_TOL = 1e-9      # a simplex q_S - g_S(a) or g_S(a) at or below this reads as 0
 INTERIOR_TOL = 1e-6   # the same for an interior point, whose primal tolerance is 1e-7
@@ -224,7 +224,7 @@ def vertex_count(n: int, k: int) -> int:
     j given bits that depend on all j of them (inclusion-exclusion), and
     every vertex table depends on exactly one set of at most k bits.
     """
-    _check_size(n, k, MAX_N_FLOAT, "vertex count")
+    _check_size(n, k, MAX_N_LP, "vertex count")
     return sum(
         comb(n, j) * sum((-1) ** (j - i) * comb(j, i) * 2 ** 2 ** i for i in range(j + 1))
         for j in range(k + 1)
@@ -233,7 +233,7 @@ def vertex_count(n: int, k: int) -> int:
 
 def max_B_over_vertices(n: int, k: int) -> float:
     """Largest witness value over all level-k vertices, h(y_B): N-1 for k < N, N for k = N."""
-    _check_size(n, k, MAX_N_FLOAT, "witness bound")
+    _check_size(n, k, MAX_N_LP, "witness bound")
     y = [0] * 2 ** n
     y[0] = -1
     for i in range(n):
@@ -448,13 +448,13 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
     LP that HiGHS ends neither optimal nor infeasible raises
     CertificationError.
 
-    mode "float" (N <= MAX_N_FLOAT) reads float weights off HiGHS's point
-    and checks that they sum to 1 and reproduce the table within
-    FLOAT_FEAS_TOL; otherwise it raises CertificationError.
+    mode "float" reads float weights off HiGHS's point and checks that
+    they sum to 1 and reproduce the table within FLOAT_FEAS_TOL; otherwise
+    it raises CertificationError.
 
-    mode "exact" (N <= MAX_N_EXACT) decides membership for the exact
-    rational value of each float entry, and every verdict carries a proof
-    checked in exact arithmetic:
+    mode "exact" decides membership for the exact rational value of each
+    float entry, and every verdict carries a proof checked in exact
+    arithmetic:
 
     1. a nonzero Walsh coefficient at some |T| > k puts the table off the
        polytope's affine hull, a non-member (no LP is solved);
@@ -471,13 +471,14 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
     with weights in multiples of 1/16).
 
     mode "auto" takes the exact route for N <= 3 and the float route above.
+    Every mode is capped at N = MAX_N_LP.
     """
     n = behavior.n_locations
     if mode == "auto":
         mode = "exact" if n <= 3 else "float"
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_size(n, k, MAX_N_EXACT if mode == "exact" else MAX_N_FLOAT, f"{mode} mode")
+    _check_size(n, k, MAX_N_LP, f"{mode} mode")
     lp = _compact_lp(n, k)
     p_float = np.array(behavior.p1)
     if mode == "exact":

@@ -35,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import Behavior
+from .behavior import PROB_TOL, Behavior
 from .linalg import check_hermitian, eigvalsh, positive_eigenspace_projector, trace_norm
 
-DENSITY_TOL = 1e-10
-POVM_TOL = 1e-10
+OPERATOR_TOL = 1e-10  # density operators and POVM elements pass their checks within this
 # build_discrimination_pair allocates N x N complex operators (16 N^2 bytes
 # each); delta_numeric holds O(N) floats plus the pattern itself.
 MAX_N_DENSE = 2048
@@ -92,13 +91,13 @@ class BinaryPOVM:
     pi1: np.ndarray
 
     def __post_init__(self):
-        check_hermitian(self.pi0, POVM_TOL)
-        check_hermitian(self.pi1, POVM_TOL)
+        check_hermitian(self.pi0, OPERATOR_TOL)
+        check_hermitian(self.pi1, OPERATOR_TOL)
         dim = self.pi0.shape[0]
-        if np.max(np.abs(self.pi0 + self.pi1 - np.eye(dim))) > POVM_TOL:
+        if np.max(np.abs(self.pi0 + self.pi1 - np.eye(dim))) > OPERATOR_TOL:
             raise ValueError("POVM elements must sum to the identity")
         for m in (self.pi0, self.pi1):
-            if np.min(np.linalg.eigvalsh(m)) < -POVM_TOL:
+            if np.min(np.linalg.eigvalsh(m)) < -OPERATOR_TOL:
                 raise ValueError("POVM element is not positive semidefinite")
 
 
@@ -111,7 +110,7 @@ class ClosedFormSpectrum:
     regime: Regime
 
 
-def assert_density_operator(rho: np.ndarray, tol: float = DENSITY_TOL):
+def assert_density_operator(rho: np.ndarray, tol: float = OPERATOR_TOL):
     check_hermitian(rho, tol)
     if abs(np.trace(rho).real - 1.0) > tol:
         raise ValueError("density operator trace differs from 1")
@@ -165,7 +164,7 @@ def helstrom(p0: float, rho0: np.ndarray, p1: float, rho1: np.ndarray):
     max_pw = (1 + ||p1 rho1 - p0 rho0||_1)/2; pi1 projects onto the positive
     eigenspace of p1 rho1 - p0 rho0 (null space assigned to pi0).
     """
-    if abs(p0 + p1 - 1.0) > 1e-12 or p0 < 0 or p1 < 0:
+    if abs(p0 + p1 - 1.0) > PROB_TOL or p0 < 0 or p1 < 0:
         raise ValueError("priors must be a probability pair")
     if rho0.shape != rho1.shape:
         raise ValueError("density operators must share a dimension")
@@ -212,7 +211,8 @@ def delta_closed_form(n: int, phi: float):
     span of the uniform state and the phase vector is a 2x2 block with
     diagonal A = N - 3 + 2 cos(phi) and off-diagonal sin(phi) (even N) or
     sin(phi) sqrt(1 - 1/N^2) (odd N), where c = (2/N)(1 - cos phi).
-    delta is positive exactly when c < |lambda_-|.  At N = 2 the even form
+    delta is positive exactly when c < |lambda_-|; at phi = 0 both are
+    exactly 0, so phi = 0 gives no violation.  At N = 2 the even form
     gives delta = (sqrt(5 - 4 cos phi) - 1)/2, positive for every phi != 0.
     """
     if n < 2:
@@ -227,8 +227,7 @@ def delta_closed_form(n: int, phi: float):
     lam_plus = 0.5 * (a + disc)
     lam_minus = 0.5 * (a - disc)
     bulk = (2.0 / n) * (1.0 - c)
-    is_zero_phi = abs(s) < 1e-300 and c > 0
-    if bulk < abs(lam_minus) and not is_zero_phi:
+    if bulk < abs(lam_minus):
         regime = Regime.VIOLATION
         delta = 1.5 - n / 2 - 2.0 / n + (2.0 / n) * c - c + 0.5 * disc
     else:

@@ -114,9 +114,9 @@ class TestPolytopeCommand:
         assert "max_B 2" in out
 
     def test_size_guard(self, capsys):
-        code, out, err = run(capsys, "polytope", "--n", str(polytope.MAX_N_FLOAT + 1), "--k", "2")
+        code, out, err = run(capsys, "polytope", "--n", str(polytope.MAX_N_LP + 1), "--k", "2")
         assert code == 2 and out == ""
-        assert err == f"error: polytope command capped at n = {polytope.MAX_N_FLOAT}\n"
+        assert err == f"error: polytope command capped at n = {polytope.MAX_N_LP}\n"
 
     def test_closed_forms_enumerate_nothing(self, capsys, monkeypatch):
         def refuse(*args):
@@ -126,7 +126,7 @@ class TestPolytopeCommand:
         code, out, _ = run(capsys, "polytope", "--n", "4", "--k", "4")
         assert code == 0
         assert out == "n 4\nk 4\nvertices 65536\nmax_B 4\nexpected 4\n"
-        code, out, _ = run(capsys, "polytope", "--n", str(polytope.MAX_N_FLOAT), "--k", "3")
+        code, out, _ = run(capsys, "polytope", "--n", str(polytope.MAX_N_LP), "--k", "3")
         assert code == 0 and "max_B 7\n" in out
 
 
@@ -145,7 +145,10 @@ class TestGroverCommand:
 
     def test_guard(self, capsys):
         assert run(capsys, "grover", "--n", "1")[0] == 2
-        assert run(capsys, "grover", "--n", "4", "--kmax", "9")[0] == 2
+        for kmax in ("9", "-1"):
+            code, out, err = run(capsys, "grover", "--n", "4", "--kmax", kmax)
+            assert code == 2 and out == ""
+            assert err == f"error: k_max must lie in [0, N], got k_max={kmax}, N=4\n"
 
 
 class TestWitnessCommand:
@@ -203,6 +206,13 @@ class TestScanCommand:
         assert err == f"error: scan caps the sum of N over its rows at {cli.MAX_SCAN_N_SUM}\n"
 
 
+@pytest.mark.parametrize("command", ["violation", "witness"])
+def test_phi_and_phi_deg_together_is_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "--n", "3", "--phi", "1", "--phi-deg", "2")
+    assert code == 2 and out == ""
+    assert "not allowed with argument --phi" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
@@ -231,8 +241,8 @@ def test_argv_fuzz_exits_cleanly(capsys, tmp_path):
     """Every generated command line exits 0 or 2 without a traceback."""
     # (valid values, invalid values) per kind of flag
     far = [str(10 * single_query.MAX_N_STRUCTURED), "10" * 12]  # above every command's cap
-    caps = [str(polytope.MAX_N_FLOAT + 1), str(cli.MAX_N_WITNESS + 1), "1415"]  # 2 + ... + 1415 > MAX_SCAN_N_SUM
-    sizes = (["2", "3", str(polytope.MAX_N_FLOAT)], ["-3", "0", "1", "nan", "abc", "", "2.5"] + caps + far)
+    caps = [str(polytope.MAX_N_LP + 1), str(cli.MAX_N_WITNESS + 1), "1415"]  # 2 + ... + 1415 > MAX_SCAN_N_SUM
+    sizes = (["2", "3", str(polytope.MAX_N_LP)], ["-3", "0", "1", "nan", "abc", "", "2.5"] + caps + far)
     phases = (["-1", "0", "1", "3.14159", "1e308", "-1e308"], ["nan", "inf", "-inf", "abc", ""])
     formats = (["csv", "json"], ["xml"])
     outs = ([str(tmp_path / "out.csv")], [str(tmp_path / "missing" / "out.csv"), str(tmp_path)])

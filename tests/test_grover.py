@@ -162,5 +162,6 @@ class TestSpeedupCurve:
         assert all(0.5 * (1 + k / 64) < 0.99 for k in range(63))
 
     def test_kmax_guard(self):
-        with pytest.raises(ValueError):
-            speedup_curve(4, 5)
+        for n, k_max in ((4, 5), (16, -1)):
+            with pytest.raises(ValueError, match=r"k_max must lie in \[0, N\]"):
+                speedup_curve(n, k_max)

@@ -14,8 +14,7 @@ from kway import polytope
 from kway.behavior import Behavior, eval_B
 from kway.polytope import (
     MAX_N_ENUMERATE,
-    MAX_N_EXACT,
-    MAX_N_FLOAT,
+    MAX_N_LP,
     DeterministicVertex,
     PolytopeSizeError,
     enumerate_vertices,
@@ -90,7 +89,7 @@ class TestVertexCount:
 
     def test_size_guards(self):
         with pytest.raises(PolytopeSizeError):
-            vertex_count(MAX_N_FLOAT + 1, 2)
+            vertex_count(MAX_N_LP + 1, 2)
         with pytest.raises(PolytopeSizeError):
             vertex_count(3, 4)
 
@@ -174,10 +173,10 @@ class TestMembership:
             assert is_k_way(b, 1, mode="exact").is_member == is_k_way(b, 1, mode="float").is_member
 
     def test_size_guards(self):
-        for mode, cap in (("exact", MAX_N_EXACT), ("float", MAX_N_FLOAT)):
+        for mode in ("exact", "float", "auto"):
             with pytest.raises(PolytopeSizeError):
-                is_k_way(Behavior.from_table(cap + 1, [0.5] * 2 ** (cap + 1)), 1, mode=mode)
-            assert is_k_way(Behavior.from_table(cap, [0.5] * 2 ** cap), 1, mode=mode).is_member
+                is_k_way(Behavior.from_table(MAX_N_LP + 1, [0.5] * 2 ** (MAX_N_LP + 1)), 1, mode=mode)
+            assert is_k_way(Behavior.from_table(MAX_N_LP, [0.5] * 2 ** MAX_N_LP), 1, mode=mode).is_member
 
     def test_json_shape(self):
         res = is_k_way(PERFECT_N2, 1, mode="exact")

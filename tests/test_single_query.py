@@ -227,6 +227,13 @@ class TestClosedForm:
                 d_num = delta_numeric(n, PhasePattern.half_half(n, phi))
                 assert d_closed == pytest.approx(d_num, abs=1e-9), (n, phi)
 
+    def test_exactly_zero_at_zero_phase(self):
+        # bulk eigenvalue and lambda_- are both exactly 0 there
+        for n in range(2, 51):
+            for phi in (0.0, -0.0, 5e-324):
+                d, spec = delta_closed_form(n, phi)
+                assert (d, spec.regime) == (0.0, Regime.NO_VIOLATION), (n, phi)
+
     def test_vanishes_as_phi_goes_to_zero(self):
         for n in (4, 6, 8):
             d, _ = delta_closed_form(n, 1e-4)
