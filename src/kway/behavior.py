@@ -6,7 +6,6 @@ are indexed as integers with x_1 as the least significant bit.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -49,14 +48,6 @@ class Behavior:
 
     def prob(self, a: int, x: int) -> float:
         return self.p1[x] if a == 1 else 1.0 - self.p1[x]
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n_locations, "p1": list(self.p1)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Behavior":
-        obj = json.loads(text)
-        return cls.from_table(obj["n"], obj["p1"])
 
 
 @dataclass(frozen=True)

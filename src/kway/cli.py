@@ -121,8 +121,6 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_grover(args) -> int:
-    if args.n < 2 or args.n > grover.MAX_N_DENSE:
-        raise UsageError(f"grover requires 2 <= n <= {grover.MAX_N_DENSE}")
     rows = [
         (r.n, r.k, r.p_quantum, r.p_classical, r.gap)
         for r in grover.speedup_curve(args.n, args.kmax)

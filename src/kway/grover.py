@@ -10,6 +10,7 @@ against the best k-query classical strategy, 1/2 (1 + k/N).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +19,7 @@ import numpy as np
 from .behavior import classical_win_bound
 
 MAX_N_DENSE = 8192
+MAX_CURVE_ROWS = 10_000
 TIE_TOL = 1e-12  # success probabilities this close tie, and a tie goes to fewer queries
 
 
@@ -126,11 +128,21 @@ def quantum_win_prob(n: int, k: int) -> float:
 
 
 def speedup_curve(n: int, k_max: Optional[int] = None):
-    """ScanRecords (k, quantum, classical) for k = 0 .. k_max, with k_max in [0, N]."""
+    """ScanRecords (k, quantum, classical) for k = 0 .. k_max, with k_max in [0, N].
+
+    At most MAX_CURVE_ROWS rows; the default k_max = optimal_query_count(N)
+    is refused before its search when that search alone would go further.
+    """
+    if not 2 <= n <= sys.float_info.max:  # exact for any int, however large
+        raise ValueError(f"need 2 <= N <= {sys.float_info.max:.3g}")
     if k_max is None:
+        if n > (4 * (MAX_CURVE_ROWS - 2) / math.pi) ** 2:  # ceil(pi sqrt(N)/4) + 1 >= MAX_CURVE_ROWS
+            raise ValueError(f"the default k_max searches more than {MAX_CURVE_ROWS - 1} query counts")
         k_max = optimal_query_count(n)
     if not 0 <= k_max <= n:
         raise ValueError(f"k_max must lie in [0, N], got k_max={k_max}, N={n}")
+    if k_max >= MAX_CURVE_ROWS:
+        raise ValueError(f"a curve is capped at {MAX_CURVE_ROWS} rows, so k_max <= {MAX_CURVE_ROWS - 1}")
     return [
         ScanRecord(n, k, quantum_win_prob(n, k), classical_win_bound(n, k))
         for k in range(k_max + 1)

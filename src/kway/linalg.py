@@ -1,4 +1,4 @@
-"""Hermitian eigendecomposition, trace norm and eigenspace projectors.
+"""Hermitian eigendecomposition and trace norm.
 
 Thin, validated wrappers around LAPACK (numpy.linalg.eigh).  All inputs are
 square ndarrays, real or complex; Hermiticity is checked up to HERM_TOL.
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HERM_TOL = 1e-12
-ZERO_EIG_TOL = 1e-10
 
 
 class NotHermitianError(ValueError):
@@ -47,13 +46,3 @@ def trace_norm(h: np.ndarray) -> float:
     """Sum of the absolute eigenvalues."""
     return float(np.sum(np.abs(eigvalsh(h))))
 
-
-def positive_eigenspace_projector(h: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors with eigenvalue > 0.
-
-    Eigenvalues with |lambda| <= ZERO_EIG_TOL count as zero and go to the
-    complement, so the output is deterministic for (numerically) singular input.
-    """
-    dec = eigh(h)
-    pos = dec.eigenvectors[:, dec.eigenvalues > ZERO_EIG_TOL]
-    return pos @ pos.conj().T

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -160,19 +159,6 @@ class DeterministicVertex:
 class MembershipResult:
     is_member: bool
     weights: Optional[dict]  # DeterministicVertex -> weight, only when member
-
-    def to_json(self, n: int, k: int) -> str:
-        obj = {"n": n, "k": k, "member": self.is_member, "weights": []}
-        if self.weights:
-            for v, w in sorted(self.weights.items()):
-                obj["weights"].append(
-                    {
-                        "locations": list(v.locations),
-                        "truth_table": list(v.truth_table),
-                        "lambda": float(w),
-                    }
-                )
-        return json.dumps(obj)
 
 
 def vertex_table(v: DeterministicVertex, n: int) -> tuple:

@@ -36,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import PROB_TOL, Behavior
-from .linalg import check_hermitian, eigvalsh, positive_eigenspace_projector, trace_norm
+from .linalg import check_hermitian, eigh, eigvalsh
 
 OPERATOR_TOL = 1e-10  # density operators and POVM elements pass their checks within this
+ZERO_EIG_TOL = 1e-10  # helstrom assigns gap eigenvalues at or below this to pi0
 # build_discrimination_pair allocates N x N complex operators (16 N^2 bytes
 # each); delta_numeric holds O(N) floats plus the pattern itself.
 MAX_N_DENSE = 2048
@@ -161,17 +162,19 @@ def build_discrimination_pair(n: int, pattern: PhasePattern):
 def helstrom(p0: float, rho0: np.ndarray, p1: float, rho1: np.ndarray):
     """Optimal binary discrimination: (max win probability, optimal POVM).
 
-    max_pw = (1 + ||p1 rho1 - p0 rho0||_1)/2; pi1 projects onto the positive
-    eigenspace of p1 rho1 - p0 rho0 (null space assigned to pi0).
+    One eigendecomposition of the gap p1 rho1 - p0 rho0 gives both:
+    max_pw = (1 + sum |lambda|)/2, and pi1 projects onto the eigenvectors
+    with lambda > ZERO_EIG_TOL (the rest, the null space included, go to pi0).
     """
     if abs(p0 + p1 - 1.0) > PROB_TOL or p0 < 0 or p1 < 0:
         raise ValueError("priors must be a probability pair")
     if rho0.shape != rho1.shape:
         raise ValueError("density operators must share a dimension")
-    gap = p1 * rho1 - p0 * rho0
-    max_pw = 0.5 * (1.0 + trace_norm(gap))
-    pi1 = positive_eigenspace_projector(gap)
-    povm = BinaryPOVM(np.eye(gap.shape[0], dtype=pi1.dtype) - pi1, pi1)
+    dec = eigh(p1 * rho1 - p0 * rho0)
+    max_pw = 0.5 * (1.0 + float(np.sum(np.abs(dec.eigenvalues))))
+    pos = dec.eigenvectors[:, dec.eigenvalues > ZERO_EIG_TOL]
+    pi1 = pos @ pos.conj().T
+    povm = BinaryPOVM(np.eye(pi1.shape[0], dtype=pi1.dtype) - pi1, pi1)
     return max_pw, povm
 
 

@@ -34,10 +34,6 @@ class TestBehaviorConstruction:
         b = Behavior.from_table(1, [1.0 + 5e-13, -5e-13])
         assert b.p1 == (1.0, 0.0)
 
-    def test_json_round_trip(self):
-        b = Behavior.from_table(2, [0.0, 0.25, 0.5, 1.0])
-        assert Behavior.from_json(b.to_json()) == b
-
 
 class TestEvalB:
     def test_perfect_n2_saturates_logical_bound(self):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kway import cli, polytope, single_query
+from kway import cli, grover, polytope, single_query
 from kway.cli import main
 from kway.linalg import NotHermitianError
 from kway.polytope import PolytopeSizeError
@@ -143,6 +143,22 @@ class TestGroverCommand:
         assert code == 0
         assert out.strip().split("\n")[1] == "16,0,0.5,0.5,0"
 
+    def test_above_the_dense_cap(self, capsys):
+        n = grover.MAX_N_DENSE + 1
+        code, out, _ = run(capsys, "grover", "--n", str(n), "--kmax", "3")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [int(r[1]) for r in rows] == [0, 1, 2, 3]
+        for _, k, p_quantum, _, _ in rows:
+            assert p_quantum == f"{grover.quantum_win_prob(n, int(k)):.12g}"
+
+    def test_row_cap_refuses_before_any_loop(self, capsys, monkeypatch):
+        monkeypatch.setattr(grover, "optimal_query_count", lambda n: pytest.fail("searched"))
+        monkeypatch.setattr(grover, "quantum_win_prob", lambda n, k: pytest.fail("looped"))
+        for argv in (["--n", "10" * 12], ["--n", "100000", "--kmax", str(grover.MAX_CURVE_ROWS)]):
+            code, out, err = run(capsys, "grover", *argv)
+            assert code == 2 and out == "" and err.startswith("error: "), argv
+
     def test_guard(self, capsys):
         assert run(capsys, "grover", "--n", "1")[0] == 2
         for kmax in ("9", "-1"):
@@ -240,16 +256,18 @@ def test_unwritable_out_file_is_usage_error(capsys, tmp_path):
 def test_argv_fuzz_exits_cleanly(capsys, tmp_path):
     """Every generated command line exits 0 or 2 without a traceback."""
     # (valid values, invalid values) per kind of flag
-    far = [str(10 * single_query.MAX_N_STRUCTURED), "10" * 12]  # above every command's cap
+    far = [str(10 * single_query.MAX_N_STRUCTURED), "10" * 12]  # above the N caps of violation, scan, polytope, witness
     caps = [str(polytope.MAX_N_LP + 1), str(cli.MAX_N_WITNESS + 1), "1415"]  # 2 + ... + 1415 > MAX_SCAN_N_SUM
     sizes = (["2", "3", str(polytope.MAX_N_LP)], ["-3", "0", "1", "nan", "abc", "", "2.5"] + caps + far)
+    # grover runs above the dense cap, and refuses an N whose default search passes MAX_CURVE_ROWS
+    grover_sizes = (sizes[0] + [str(grover.MAX_N_DENSE + 1)], sizes[1] + [str(4 * grover.MAX_CURVE_ROWS ** 2)])
     phases = (["-1", "0", "1", "3.14159", "1e308", "-1e308"], ["nan", "inf", "-inf", "abc", ""])
     formats = (["csv", "json"], ["xml"])
     outs = ([str(tmp_path / "out.csv")], [str(tmp_path / "missing" / "out.csv"), str(tmp_path)])
     flags = {
         "violation": {"--n": sizes, "--phi": phases, "--phi-deg": phases, "--format": formats, "--out": outs},
         "polytope": {"--n": sizes, "--k": sizes},
-        "grover": {"--n": sizes, "--kmax": sizes, "--format": formats, "--out": outs},
+        "grover": {"--n": grover_sizes, "--kmax": sizes, "--format": formats, "--out": outs},
         "witness": {"--n": sizes, "--phi": phases, "--phi-deg": phases},
         "scan": {"--n-min": sizes, "--n-max": sizes, "--format": formats, "--out": outs},
         "frobnicate": {"--n": sizes},

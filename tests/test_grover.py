@@ -5,6 +5,7 @@ import pytest
 from oracles import inversion_about_mean
 
 from kway.grover import (
+    MAX_CURVE_ROWS,
     GroverRun,
     grover_angle,
     grover_rho_pair,
@@ -165,3 +166,19 @@ class TestSpeedupCurve:
         for n, k_max in ((4, 5), (16, -1)):
             with pytest.raises(ValueError, match=r"k_max must lie in \[0, N\]"):
                 speedup_curve(n, k_max)
+
+    def test_row_cap(self):
+        # the largest N whose default search, ceil(pi sqrt(N)/4) + 1 counts, fits the cap
+        n_top = math.floor((4 * (MAX_CURVE_ROWS - 2) / math.pi) ** 2)
+        assert len(speedup_curve(n_top)) <= MAX_CURVE_ROWS
+        assert len(speedup_curve(2 * MAX_CURVE_ROWS, MAX_CURVE_ROWS - 1)) == MAX_CURVE_ROWS
+        with pytest.raises(ValueError, match="default k_max searches more than"):
+            speedup_curve(n_top + 1)
+        with pytest.raises(ValueError, match=f"capped at {MAX_CURVE_ROWS} rows"):
+            speedup_curve(2 * MAX_CURVE_ROWS, MAX_CURVE_ROWS)
+
+    def test_n_beyond_floats_is_refused(self):
+        assert len(speedup_curve(10 ** 300, 3)) == 4
+        for n in (1, 10 ** 400):
+            with pytest.raises(ValueError, match="need 2 <= N"):
+                speedup_curve(n, 3)

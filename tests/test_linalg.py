@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from kway.linalg import (
-    NotHermitianError,
-    eigh,
-    eigvalsh,
-    positive_eigenspace_projector,
-    trace_norm,
-)
+from kway.linalg import NotHermitianError, eigh, trace_norm
 
 
 def random_hermitian(rng, dim):
@@ -20,8 +14,6 @@ def random_unitary(rng, dim):
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
-
-MINUS = np.array([1, -1]) / np.sqrt(2)
 
 # gap operator of the two-location protocol at phase pi:
 # (2/3)|-><-| - (1/3)|+><+|, worked out entrywise
@@ -95,26 +87,3 @@ class TestTraceNorm:
         h = random_hermitian(rng, 8)
         assert trace_norm(h) >= abs(np.trace(h).real) - 1e-12
 
-
-class TestPositiveProjector:
-    def test_diag_case(self):
-        p = positive_eigenspace_projector(np.diag([1.0, -1.0]))
-        assert np.allclose(p, np.diag([1.0, 0.0]))
-
-    def test_zero_matrix_gives_zero_projector(self):
-        assert np.allclose(positive_eigenspace_projector(np.zeros((4, 4))), 0.0)
-
-    def test_n2_gap_operator_projects_on_minus(self):
-        p = positive_eigenspace_projector(N2_GAP)
-        assert np.allclose(p, np.outer(MINUS, MINUS), atol=1e-12)
-
-    def test_projector_properties(self):
-        rng = np.random.default_rng(7)
-        for dim in (2, 5, 12):
-            h = random_hermitian(rng, dim)
-            p = positive_eigenspace_projector(h)
-            assert np.allclose(p, p.conj().T, atol=1e-10)
-            assert np.allclose(p @ p, p, atol=1e-10)
-            # P picks out exactly the positive part: tr(PH) = sum of positive eigenvalues
-            pos_sum = np.sum(np.clip(eigvalsh(h), 0, None))
-            assert np.trace(p @ h).real == pytest.approx(pos_sum, rel=1e-10)

@@ -178,13 +178,6 @@ class TestMembership:
                 is_k_way(Behavior.from_table(MAX_N_LP + 1, [0.5] * 2 ** (MAX_N_LP + 1)), 1, mode=mode)
             assert is_k_way(Behavior.from_table(MAX_N_LP, [0.5] * 2 ** MAX_N_LP), 1, mode=mode).is_member
 
-    def test_json_shape(self):
-        res = is_k_way(PERFECT_N2, 1, mode="exact")
-        import json
-
-        obj = json.loads(res.to_json(2, 1))
-        assert obj == {"n": 2, "k": 1, "member": False, "weights": []}
-
 
 def _run_with_kway(code):
     """stdout of `python -c code`, with the kway under test on the path; a

@@ -145,7 +145,7 @@ class TestHelstrom:
         p0, rho0, p1, rho1 = build_discrimination_pair(2, PhasePattern((PI, PI)))
         pw, povm = helstrom(p0, rho0, p1, rho1)
         assert pw == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(povm.pi1, np.outer(MINUS, MINUS), atol=1e-10)
+        assert np.allclose(povm.pi1, np.outer(MINUS, MINUS), atol=1e-12)
 
     def test_maximally_mixed_vs_uniform_projector(self):
         # the one-query multi-query pair at N = 4
@@ -167,6 +167,62 @@ class TestHelstrom:
         rho = np.outer(MINUS, MINUS)
         with pytest.raises(ValueError):
             helstrom(0.4, rho, 0.4, rho)
+
+
+def helstrom_of_gap(gap):
+    """helstrom on priors (0, 1), whose gap operator is exactly `gap`."""
+    return helstrom(0.0, np.zeros_like(gap), 1.0, gap)
+
+
+class TestHelstromProjector:
+    """pi1 and P_W read off helstrom's one eigendecomposition of the gap."""
+
+    def test_zero_gap_gives_zero_projector(self):
+        rho = np.outer(MINUS, MINUS)
+        pw, povm = helstrom(0.5, rho, 0.5, rho)
+        assert pw == 0.5
+        assert np.all(povm.pi1 == 0) and np.array_equal(povm.pi0, np.eye(2))
+
+    def test_diag_case(self):
+        pw, povm = helstrom(0.5, np.diag([0.0, 1.0]), 0.5, np.diag([1.0, 0.0]))
+        assert pw == 1.0
+        assert np.allclose(povm.pi1, np.diag([1.0, 0.0]), atol=1e-15)
+
+    def test_projector_properties(self):
+        rng = np.random.default_rng(7)
+        for dim in (2, 5, 12):
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            gap = (a + a.conj().T) / 2
+            _, povm = helstrom_of_gap(gap)
+            p = povm.pi1
+            assert np.allclose(p, p.conj().T, atol=1e-10)
+            assert np.allclose(p @ p, p, atol=1e-10)
+            # pi1 picks out exactly the positive part: tr(pi1 gap) = sum of positive eigenvalues
+            pos_sum = np.sum(np.clip(np.linalg.eigvalsh(gap), 0, None))
+            assert np.trace(p @ gap).real == pytest.approx(pos_sum, rel=1e-10)
+
+    def test_win_probability_against_eigvalsh(self):
+        rng = np.random.default_rng(20261018)
+        for n in range(2, 9):
+            patterns = [PhasePattern.half_half(n, phi) for phi in rng.uniform(-PI, PI, 5)]
+            patterns += [PhasePattern(tuple(rng.uniform(-PI, PI, n))) for _ in range(5)]
+            for pattern in patterns:
+                p0, rho0, p1, rho1 = build_discrimination_pair(n, pattern)
+                pw, _ = helstrom(p0, rho0, p1, rho1)
+                lam = np.linalg.eigvalsh(p1 * rho1 - p0 * rho0)
+                assert abs(pw - 0.5 * (1 + np.sum(np.abs(lam)))) <= 1e-12, (n, pattern)
+
+    def test_one_eigendecomposition_of_the_gap(self, monkeypatch):
+        p0, rho0, p1, rho1 = build_discrimination_pair(4, PhasePattern.half_half(4, 2.0))
+        gap = p1 * rho1 - p0 * rho0
+        solved = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            def counted(h, *args, _solver=getattr(np.linalg, name), **kwargs):
+                solved.append(np.array_equal(h, gap))
+                return _solver(h, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        helstrom(p0, rho0, p1, rho1)
+        assert solved.count(True) == 1  # the rest check the POVM elements
 
 
 class TestDeltaNumeric:

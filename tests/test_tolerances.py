@@ -6,7 +6,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ROW = re.compile(r"^\| `(\w+)\.(\w+)` \| `([^`]+)` \|")
-CONSTANT = re.compile(r"_TOL$|^MAX_N_|^MAX_SCAN_N_SUM$")
+CONSTANT = re.compile(r"_TOL$|^MAX_")
 
 
 def table_rows():
