@@ -188,6 +188,13 @@ class TestHelstromProjector:
         assert pw == 1.0
         assert np.allclose(povm.pi1, np.diag([1.0, 0.0]), atol=1e-15)
 
+    def test_n2_gap_operator_projects_on_minus(self):
+        # gap operator of the two-location protocol at phase pi:
+        # (2/3)|-><-| - (1/3)|+><+|, worked out entrywise
+        gap = np.array([[1 / 6, -1 / 2], [-1 / 2, 1 / 6]])
+        _, povm = helstrom_of_gap(gap)
+        assert np.allclose(povm.pi1, np.outer(MINUS, MINUS), atol=1e-12)
+
     def test_projector_properties(self):
         rng = np.random.default_rng(7)
         for dim in (2, 5, 12):
