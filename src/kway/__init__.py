@@ -9,17 +9,11 @@ multi-query protocol with its quadratic speed-up over classical querying.
 from .behavior import (
     Behavior,
     BehaviorError,
-    GameSpec,
     classical_win_bound,
     eval_B,
-    win_prob_game1,
-    win_prob_game2,
 )
 from .grover import (
-    GroverRun,
     ScanRecord,
-    grover_state_closed,
-    grover_state_iterative,
     optimal_query_count,
     quantum_win_prob,
     speedup_curve,
@@ -28,25 +22,20 @@ from .polytope import (
     CertificationError,
     DeterministicVertex,
     MembershipResult,
-    enumerate_vertices,
     is_k_way,
     max_B_over_vertices,
     vertex_count,
-    vertex_to_behavior,
 )
 from .single_query import (
-    BinaryPOVM,
     ClosedFormSpectrum,
     PhasePattern,
     Regime,
-    apply_phase_oracle,
     build_discrimination_pair,
     delta_closed_form,
     delta_max,
     delta_numeric,
     helstrom,
     induced_behavior,
-    uniform_state,
     violation_threshold,
 )
 

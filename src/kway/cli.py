@@ -103,10 +103,6 @@ def cmd_violation(args) -> int:
 
 
 def cmd_polytope(args) -> int:
-    if not 1 <= args.k <= args.n:
-        raise UsageError("polytope requires 1 <= k <= n")
-    if args.n > polytope.MAX_N_LP:
-        raise UsageError(f"polytope command capped at n = {polytope.MAX_N_LP}")
     max_b = polytope.max_B_over_vertices(args.n, args.k)
     expected = args.n - 1 if args.k < args.n else args.n
     print(f"n {args.n}")
@@ -137,8 +133,8 @@ def cmd_witness(args) -> int:
         raise UsageError("witness requires --phi or --phi-deg")
     pattern = single_query.PhasePattern.half_half(args.n, phi)
     p0, rho0, p1, rho1 = single_query.build_discrimination_pair(args.n, pattern)
-    _, povm = single_query.helstrom(p0, rho0, p1, rho1)
-    behavior = single_query.induced_behavior(args.n, pattern, povm)
+    _, pi1 = single_query.helstrom(p0, rho0, p1, rho1)
+    behavior = single_query.induced_behavior(args.n, pattern, pi1)
     b_val = eval_B(behavior)
     k = args.n - 1
     result = polytope.is_k_way(behavior, k, mode="exact")

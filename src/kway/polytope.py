@@ -17,9 +17,8 @@ staircase decomposition turns each box point g_S/q_S into at most
 2^k + 1 weighted vertices.
 
 The vertex count and the largest witness value have closed forms
-(vertex_count, max_B_over_vertices).  enumerate_vertices lists the
-vertices themselves; no production path calls it, and the tests use it as
-their oracle.
+(vertex_count, max_B_over_vertices), so nothing here lists the vertices;
+the tests enumerate them as their oracle.
 """
 from __future__ import annotations
 
@@ -43,7 +42,6 @@ from .exactlp import check_member, separates, solve, support_function, walsh_cer
 # at every k; the worst measured is k = 5 at N = 8 (see CHANGES.md for the
 # timings).  vertex_count and max_B_over_vertices share it.
 MAX_N_LP = 8
-MAX_N_ENUMERATE = 5   # enumerate_vertices loops over C(N,k) 2^(2^k) labels
 FLOAT_FEAS_TOL = 1e-8  # float weights sum to 1 and rebuild the table within this
 WEIGHT_TOL = 1e-12    # float weights at or below this are dropped
 TIGHT_TOL = 1e-9      # a simplex q_S - g_S(a) or g_S(a) at or below this reads as 0
@@ -127,7 +125,7 @@ linprog = _DirectHighs()
 
 
 class PolytopeSizeError(ValueError):
-    """Requested instance exceeds the supported exact/floating size guards."""
+    """k outside [1, N], or N above MAX_N_LP."""
 
 
 class CertificationError(RuntimeError):
@@ -161,46 +159,9 @@ class MembershipResult:
     weights: Optional[dict]  # DeterministicVertex -> weight, only when member
 
 
-def vertex_table(v: DeterministicVertex, n: int) -> tuple:
-    """P(1|x) in {0,1} for all 2^n inputs x (x_1 = LSB)."""
-    if v.locations and v.locations[-1] > n:
-        raise ValueError("vertex reads a location beyond N")
-    out = []
-    for x in range(2 ** n):
-        idx = 0
-        for pos, loc in enumerate(v.locations):
-            idx |= ((x >> (loc - 1)) & 1) << pos
-        out.append(v.truth_table[idx])
-    return tuple(out)
-
-
-def vertex_to_behavior(v: DeterministicVertex, n: int) -> Behavior:
-    return Behavior.from_table(n, vertex_table(v, n))
-
-
-def _check_size(n: int, k: int, cap: int, what: str):
-    if not 1 <= k <= n:
-        raise PolytopeSizeError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n > cap:
-        raise PolytopeSizeError(f"{what} capped at N={cap}")
-
-
-def enumerate_vertices(n: int, k: int):
-    """All distinct deterministic k-way behaviors for N inputs.
-
-    Returns a deterministically ordered list of representative vertices; two
-    (subset, function) labels inducing the same table are merged.
-    """
-    _check_size(n, k, MAX_N_ENUMERATE, "vertex enumeration")
-    seen = {}
-    for locs in combinations(range(1, n + 1), k):
-        for fidx in range(2 ** (2 ** k)):
-            tt = tuple((fidx >> a) & 1 for a in range(2 ** k))
-            v = DeterministicVertex(locs, tt)
-            table = vertex_table(v, n)
-            if table not in seen:
-                seen[table] = v
-    return [seen[t] for t in sorted(seen)]
+def _check_size(n: int, k: int):
+    if not 1 <= k <= n <= MAX_N_LP:
+        raise PolytopeSizeError(f"need 1 <= k <= n <= MAX_N_LP = {MAX_N_LP}, got n={n}, k={k}")
 
 
 def vertex_count(n: int, k: int) -> int:
@@ -210,7 +171,7 @@ def vertex_count(n: int, k: int) -> int:
     j given bits that depend on all j of them (inclusion-exclusion), and
     every vertex table depends on exactly one set of at most k bits.
     """
-    _check_size(n, k, MAX_N_LP, "vertex count")
+    _check_size(n, k)
     return sum(
         comb(n, j) * sum((-1) ** (j - i) * comb(j, i) * 2 ** 2 ** i for i in range(j + 1))
         for j in range(k + 1)
@@ -219,7 +180,7 @@ def vertex_count(n: int, k: int) -> int:
 
 def max_B_over_vertices(n: int, k: int) -> float:
     """Largest witness value over all level-k vertices, h(y_B): N-1 for k < N, N for k = N."""
-    _check_size(n, k, MAX_N_LP, "witness bound")
+    _check_size(n, k)
     y = [0] * 2 ** n
     y[0] = -1
     for i in range(n):
@@ -464,7 +425,7 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
         mode = "exact" if n <= 3 else "float"
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_size(n, k, MAX_N_LP, f"{mode} mode")
+    _check_size(n, k)
     lp = _compact_lp(n, k)
     p_float = np.array(behavior.p1)
     if mode == "exact":

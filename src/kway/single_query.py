@@ -16,10 +16,11 @@ delta is computed by two independent routes:
 * delta_closed_form, for the half/half +-phi pattern: the analytic spectrum,
   a bulk eigenvalue of multiplicity N-2 and a 2x2 block.
 
-The dense operators of build_discrimination_pair, built from the closed
-form of rho_1's entries, serve helstrom and induced_behavior, which need
-the measurement itself.  The tests check both delta routes against a
-dense eigensolve of the operators averaged one outer product at a time.
+The dense operators of build_discrimination_pair, rho_0 = J/N and the
+closed form of rho_1's entries, serve helstrom, whose projector pi1 onto
+the positive part of the gap is the measurement, and induced_behavior,
+which reads the table off pi1.  The tests check both delta routes against
+a dense eigensolve of the operators averaged one outer product at a time.
 
 Note: the commonly quoted violation threshold cos(phi) > (N(N-6)+5)/(N^2-2N+3)
 for odd N does not match the analytic spectrum; the condition
@@ -36,9 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import PROB_TOL, Behavior
-from .linalg import check_hermitian, eigh, eigvalsh
+from .linalg import eigh, eigvalsh
 
-OPERATOR_TOL = 1e-10  # density operators and POVM elements pass their checks within this
 ZERO_EIG_TOL = 1e-10  # helstrom assigns gap eigenvalues at or below this to pi0
 # build_discrimination_pair allocates N x N complex operators (16 N^2 bytes
 # each); delta_numeric holds O(N) floats plus the pattern itself.
@@ -85,24 +85,6 @@ class PhasePattern:
 
 
 @dataclass(frozen=True)
-class BinaryPOVM:
-    """Two-outcome measurement: PSD operators pi0 + pi1 = identity."""
-
-    pi0: np.ndarray
-    pi1: np.ndarray
-
-    def __post_init__(self):
-        check_hermitian(self.pi0, OPERATOR_TOL)
-        check_hermitian(self.pi1, OPERATOR_TOL)
-        dim = self.pi0.shape[0]
-        if np.max(np.abs(self.pi0 + self.pi1 - np.eye(dim))) > OPERATOR_TOL:
-            raise ValueError("POVM elements must sum to the identity")
-        for m in (self.pi0, self.pi1):
-            if np.min(np.linalg.eigvalsh(m)) < -OPERATOR_TOL:
-                raise ValueError("POVM element is not positive semidefinite")
-
-
-@dataclass(frozen=True)
 class ClosedFormSpectrum:
     a_coef: float           # N - 3 + 2 cos(phi)
     lambda_plus: float
@@ -111,36 +93,10 @@ class ClosedFormSpectrum:
     regime: Regime
 
 
-def assert_density_operator(rho: np.ndarray, tol: float = OPERATOR_TOL):
-    check_hermitian(rho, tol)
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError("density operator trace differs from 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -tol:
-        raise ValueError("density operator is not positive semidefinite")
-
-
-def uniform_state(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("need at least one mode")
-    return np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-
-
-def apply_phase_oracle(state: np.ndarray, bits, pattern: PhasePattern) -> np.ndarray:
-    """Multiply amplitude n by e^{i phi_n x_n}; norm is preserved."""
-    n = len(state)
-    if len(bits) != n or len(pattern) != n:
-        raise ValueError("state, bits and pattern dimensions must match")
-    phases = np.array(pattern.phases) * np.array(bits, dtype=float)
-    return state * np.exp(1j * phases)
-
-
-def encoded_state(n: int, bits, pattern: PhasePattern) -> np.ndarray:
-    return apply_phase_oracle(uniform_state(n), bits, pattern)
-
-
 def build_discrimination_pair(n: int, pattern: PhasePattern):
     """(p0, rho_0, p1, rho_1): all-zero encoding vs averaged one-hot encodings.
 
+    The all-zero encoding is the uniform state, so rho_0 = 1/N everywhere.
     With z_j = e^{i phi_j}, averaging the N one-hot encodings gives
     rho_1 = 1/N on the diagonal and (N - 2 + z_j + conj(z_k))/N^2 off it.
     """
@@ -150,8 +106,10 @@ def build_discrimination_pair(n: int, pattern: PhasePattern):
         raise ValueError(f"dense construction capped at N={MAX_N_DENSE}")
     if len(pattern) != n:
         raise ValueError("pattern length must equal N")
-    psi0 = uniform_state(n)
-    rho0 = np.outer(psi0, psi0.conj())
+    # each entry of rho_0 = |psi_0><psi_0| is the squared uniform amplitude,
+    # which for most N rounds differently from 1/N
+    amp = 1.0 / math.sqrt(n)
+    rho0 = np.full((n, n), amp * amp, dtype=complex)
     z = np.exp(1j * np.array(pattern.phases))
     # z_j + conj(z_k) first, as in delta_numeric, keeps rho_1 exactly Hermitian
     rho1 = ((n - 2) + (z[:, None] + z.conj()[None, :])) / (n * n)
@@ -160,22 +118,21 @@ def build_discrimination_pair(n: int, pattern: PhasePattern):
 
 
 def helstrom(p0: float, rho0: np.ndarray, p1: float, rho1: np.ndarray):
-    """Optimal binary discrimination: (max win probability, optimal POVM).
+    """Optimal binary discrimination: (max win probability, pi1).
 
     One eigendecomposition of the gap p1 rho1 - p0 rho0 gives both:
-    max_pw = (1 + sum |lambda|)/2, and pi1 projects onto the eigenvectors
-    with lambda > ZERO_EIG_TOL (the rest, the null space included, go to pi0).
+    max_pw = (1 + sum |lambda|)/2, and the projector pi1, which answers 1,
+    onto the eigenvectors with lambda > ZERO_EIG_TOL.  The measurement's
+    other element is pi0 = I - pi1, the null space included.
     """
     if abs(p0 + p1 - 1.0) > PROB_TOL or p0 < 0 or p1 < 0:
         raise ValueError("priors must be a probability pair")
     if rho0.shape != rho1.shape:
         raise ValueError("density operators must share a dimension")
-    dec = eigh(p1 * rho1 - p0 * rho0)
-    max_pw = 0.5 * (1.0 + float(np.sum(np.abs(dec.eigenvalues))))
-    pos = dec.eigenvectors[:, dec.eigenvalues > ZERO_EIG_TOL]
-    pi1 = pos @ pos.conj().T
-    povm = BinaryPOVM(np.eye(pi1.shape[0], dtype=pi1.dtype) - pi1, pi1)
-    return max_pw, povm
+    lam, vecs = eigh(p1 * rho1 - p0 * rho0)
+    max_pw = 0.5 * (1.0 + float(np.sum(np.abs(lam))))
+    pos = vecs[:, lam > ZERO_EIG_TOL]
+    return max_pw, pos @ pos.conj().T
 
 
 def delta_numeric(n: int, pattern: PhasePattern) -> float:
@@ -255,7 +212,7 @@ def violation_threshold(n: int) -> float:
     return (n - 5) / (n - 3)
 
 
-def induced_behavior(n: int, pattern: PhasePattern, povm: BinaryPOVM) -> Behavior:
+def induced_behavior(n: int, pattern: PhasePattern, pi1: np.ndarray) -> Behavior:
     """Device-independent table P(1|x) = Tr(pi1 rho_x) over all 2^N encodings.
 
     Row x of the (2^N x N) matrix psi is the encoded state of input x.
@@ -264,11 +221,11 @@ def induced_behavior(n: int, pattern: PhasePattern, povm: BinaryPOVM) -> Behavio
         raise ValueError("pattern length must equal N")
     if n > MAX_N_TABLE:
         raise ValueError(f"behavior tables capped at N={MAX_N_TABLE}")
-    if povm.pi1.shape[0] != n:
-        raise ValueError("POVM dimension must equal N")
+    if pi1.shape[0] != n:
+        raise ValueError("measurement dimension must equal N")
     bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
     psi = np.exp(1j * bits * np.array(pattern.phases)) / math.sqrt(n)
-    table = np.einsum("xi,xi->x", psi.conj(), psi @ povm.pi1.T).real
+    table = np.einsum("xi,xi->x", psi.conj(), psi @ pi1.T).real
     return Behavior.from_table(n, table.tolist())
 
 

@@ -1,5 +1,12 @@
-"""Reference computations the tests compare the production routes against."""
+"""Reference computations the tests compare the production routes against.
+
+Plain functions without a library's size caps, checking only inputs that
+would otherwise give a silently wrong answer: dense operators, explicit
+states and enumerated vertices, each the slow, direct form of something
+kway computes from structure.
+"""
 import functools
+import math
 import warnings
 from itertools import combinations
 
@@ -7,11 +14,54 @@ import numpy as np
 from scipy.optimize import linprog
 
 from kway.behavior import Behavior
-from kway.linalg import trace_norm
-from kway.polytope import enumerate_vertices, vertex_table
-from kway.single_query import apply_phase_oracle, encoded_state, uniform_state
+from kway.grover import grover_angle
+from kway.polytope import DeterministicVertex
 
 VERTEX_LP_TOL = 1e-8
+OPERATOR_TOL = 1e-10  # a density operator passes its Hermiticity, trace and positivity checks within this
+
+
+def trace_norm(h):
+    """Sum of the absolute eigenvalues of a Hermitian matrix."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
+
+
+def assert_density_operator(rho, tol=OPERATOR_TOL):
+    assert np.max(np.abs(rho - rho.conj().T)) <= tol, "not Hermitian"
+    assert abs(np.trace(rho).real - 1.0) <= tol, "trace differs from 1"
+    assert np.min(np.linalg.eigvalsh(rho)) >= -tol, "not positive semidefinite"
+
+
+# --- behaviors and games --------------------------------------------------------
+
+def win_prob_game1(behavior):
+    """Win probability with the all-zero input and the N one-hot inputs equally
+    likely: answer 0 on the first, 1 on the others.  eval_B = -1 + (N+1) times this."""
+    n, p = behavior.n_locations, behavior.p1
+    return ((1.0 - p[0]) + sum(p[1 << i] for i in range(n))) / (n + 1)
+
+
+def win_prob_game2(behavior):
+    """Win probability with prior 1/2 on the all-zero input and 1/(2N) on each one-hot input."""
+    n, p = behavior.n_locations, behavior.p1
+    return 0.5 * (1.0 - p[0]) + 0.5 * sum(p[1 << i] for i in range(n)) / n
+
+
+# --- single query ---------------------------------------------------------------
+
+def uniform_state(n):
+    return np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+
+
+def apply_phase_oracle(state, bits, pattern):
+    """Multiply amplitude j by e^{i phi_j x_j}."""
+    if not len(state) == len(bits) == len(pattern):
+        raise ValueError("state, bits and pattern dimensions must match")
+    return state * np.exp(1j * np.array(pattern.phases) * np.array(bits, dtype=float))
+
+
+def encoded_state(n, bits, pattern):
+    return apply_phase_oracle(uniform_state(n), bits, pattern)
 
 
 def loop_discrimination_pair(n, pattern):
@@ -27,12 +77,12 @@ def loop_discrimination_pair(n, pattern):
     return 1.0 / (n + 1), rho0, n / (n + 1), rho1 / n
 
 
-def loop_induced_behavior(n, pattern, povm):
+def loop_induced_behavior(n, pattern, pi1):
     """P(1|x) = <psi_x| pi1 |psi_x>, one encoded state at a time."""
     table = []
     for x in range(2 ** n):
         psi = encoded_state(n, [(x >> i) & 1 for i in range(n)], pattern)
-        table.append(float(np.real(psi.conj() @ povm.pi1 @ psi)))
+        table.append(float(np.real(psi.conj() @ pi1 @ psi)))
     return Behavior.from_table(n, table)
 
 
@@ -42,9 +92,73 @@ def dense_delta(n, pattern):
     return 0.5 - n / 2 + (n + 1) / 2 * trace_norm(p1 * rho1 - p0 * rho0)
 
 
+# --- Grover --------------------------------------------------------------------
+
 def inversion_about_mean(n):
     """U = 2|psi0><psi0| - 1, as a dense N x N matrix."""
     return 2.0 * np.full((n, n), 1.0 / n) - np.eye(n)
+
+
+def grover_state_iterative(n, k, marked=None):
+    """k rounds of (pi-phase oracle at the 1-based location `marked`, then
+    inversion about the mean) on the uniform state; marked=None is the
+    all-zero input, whose oracle is the identity."""
+    psi = np.full(n, 1.0 / math.sqrt(n))
+    if marked is None:
+        return psi  # U fixes the uniform state
+    for _ in range(k):
+        psi[marked - 1] = -psi[marked - 1]
+        psi = 2.0 * np.mean(psi) - psi  # inversion about mean, no N x N matrix
+    return psi
+
+
+def grover_state_closed(n, k, marked):
+    """cos((2k+1) theta/2)|i_bar> + sin((2k+1) theta/2)|i>, i = marked."""
+    ang = (2 * k + 1) * grover_angle(n) / 2.0
+    psi = np.full(n, math.cos(ang) / math.sqrt(n - 1))
+    psi[marked - 1] = math.sin(ang)
+    return psi
+
+
+def grover_rho_pair(n, k):
+    """(rho0, rho1) at k queries: the uniform-state projector and the exact
+    average of the N marked final states, as dense N x N matrices."""
+    ang = (2 * k + 1) * grover_angle(n) / 2.0
+    beta = math.cos(ang) / math.sqrt(n - 1)
+    # Column i of psi_mat is the final state for marked location i.
+    psi_mat = np.full((n, n), beta)
+    np.fill_diagonal(psi_mat, math.sin(ang))
+    return np.full((n, n), 1.0 / n), (psi_mat @ psi_mat.T) / n
+
+
+# --- the k-way polytope ---------------------------------------------------------
+
+def vertex_table(v, n):
+    """P(1|x) in {0,1} for all 2^n inputs x (x_1 = LSB)."""
+    if v.locations and v.locations[-1] > n:
+        raise ValueError("vertex reads a location beyond N")
+    out = []
+    for x in range(2 ** n):
+        idx = 0
+        for pos, loc in enumerate(v.locations):
+            idx |= ((x >> (loc - 1)) & 1) << pos
+        out.append(v.truth_table[idx])
+    return tuple(out)
+
+
+def vertex_to_behavior(v, n):
+    return Behavior.from_table(n, vertex_table(v, n))
+
+
+def enumerate_vertices(n, k):
+    """All distinct deterministic k-way behaviors for N inputs, one
+    representative (subset, function) label per table, in table order."""
+    seen = {}
+    for locs in combinations(range(1, n + 1), k):
+        for fidx in range(2 ** (2 ** k)):
+            v = DeterministicVertex(locs, tuple((fidx >> a) & 1 for a in range(2 ** k)))
+            seen.setdefault(vertex_table(v, n), v)
+    return [seen[t] for t in sorted(seen)]
 
 
 @functools.cache

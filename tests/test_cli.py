@@ -116,13 +116,13 @@ class TestPolytopeCommand:
     def test_size_guard(self, capsys):
         code, out, err = run(capsys, "polytope", "--n", str(polytope.MAX_N_LP + 1), "--k", "2")
         assert code == 2 and out == ""
-        assert err == f"error: polytope command capped at n = {polytope.MAX_N_LP}\n"
+        assert err == f"error: need 1 <= k <= n <= MAX_N_LP = {polytope.MAX_N_LP}, got n={polytope.MAX_N_LP + 1}, k=2\n"
+        code, out, err = run(capsys, "polytope", "--n", "3", "--k", "4")
+        assert code == 2 and out == ""
+        assert err == f"error: need 1 <= k <= n <= MAX_N_LP = {polytope.MAX_N_LP}, got n=3, k=4\n"
 
-    def test_closed_forms_enumerate_nothing(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("vertices enumerated")
-
-        monkeypatch.setattr(polytope, "enumerate_vertices", refuse)
+    def test_closed_forms_enumerate_nothing(self, capsys):
+        assert not hasattr(polytope, "enumerate_vertices")
         code, out, _ = run(capsys, "polytope", "--n", "4", "--k", "4")
         assert code == 0
         assert out == "n 4\nk 4\nvertices 65536\nmax_B 4\nexpected 4\n"
@@ -144,7 +144,7 @@ class TestGroverCommand:
         assert out.strip().split("\n")[1] == "16,0,0.5,0.5,0"
 
     def test_above_the_dense_cap(self, capsys):
-        n = grover.MAX_N_DENSE + 1
+        n = 8193  # past 8192, where one dense N x N float matrix takes 512 MiB
         code, out, _ = run(capsys, "grover", "--n", str(n), "--kmax", "3")
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
@@ -153,7 +153,6 @@ class TestGroverCommand:
             assert p_quantum == f"{grover.quantum_win_prob(n, int(k)):.12g}"
 
     def test_row_cap_refuses_before_any_loop(self, capsys, monkeypatch):
-        monkeypatch.setattr(grover, "optimal_query_count", lambda n: pytest.fail("searched"))
         monkeypatch.setattr(grover, "quantum_win_prob", lambda n, k: pytest.fail("looped"))
         for argv in (["--n", "10" * 12], ["--n", "100000", "--kmax", str(grover.MAX_CURVE_ROWS)]):
             code, out, err = run(capsys, "grover", *argv)
@@ -259,8 +258,8 @@ def test_argv_fuzz_exits_cleanly(capsys, tmp_path):
     far = [str(10 * single_query.MAX_N_STRUCTURED), "10" * 12]  # above the N caps of violation, scan, polytope, witness
     caps = [str(polytope.MAX_N_LP + 1), str(cli.MAX_N_WITNESS + 1), "1415"]  # 2 + ... + 1415 > MAX_SCAN_N_SUM
     sizes = (["2", "3", str(polytope.MAX_N_LP)], ["-3", "0", "1", "nan", "abc", "", "2.5"] + caps + far)
-    # grover runs above the dense cap, and refuses an N whose default search passes MAX_CURVE_ROWS
-    grover_sizes = (sizes[0] + [str(grover.MAX_N_DENSE + 1)], sizes[1] + [str(4 * grover.MAX_CURVE_ROWS ** 2)])
+    # grover runs past N = 8192, where a dense route would not, and refuses an N whose default curve passes MAX_CURVE_ROWS
+    grover_sizes = (sizes[0] + ["8193"], sizes[1] + [str(4 * grover.MAX_CURVE_ROWS ** 2)])
     phases = (["-1", "0", "1", "3.14159", "1e308", "-1e308"], ["nan", "inf", "-inf", "abc", ""])
     formats = (["csv", "json"], ["xml"])
     outs = ([str(tmp_path / "out.csv")], [str(tmp_path / "missing" / "out.csv"), str(tmp_path)])

@@ -3,18 +3,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from oracles import enumerate_vertices, vertex_table
 
 from kway import polytope
 from kway.behavior import Behavior
 from kway.cli import main
 from kway.exactlp import check_member, separates, solve, support_function, walsh_certificate
-from kway.polytope import (
-    CertificationError,
-    enumerate_vertices,
-    fibre_index,
-    is_k_way,
-    vertex_table,
-)
+from kway.polytope import CertificationError, fibre_index, is_k_way
 
 
 def dense(rows):

@@ -2,15 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import inversion_about_mean
+from oracles import grover_rho_pair, grover_state_closed, grover_state_iterative, inversion_about_mean
 
 from kway.grover import (
     MAX_CURVE_ROWS,
-    GroverRun,
     grover_angle,
-    grover_rho_pair,
-    grover_state_closed,
-    grover_state_iterative,
     optimal_query_count,
     quantum_win_prob,
     speedup_curve,
@@ -20,22 +16,18 @@ from kway.grover import (
 class TestStates:
     def test_no_marked_location_is_a_fixed_point(self):
         for k in (0, 1, 5):
-            psi = grover_state_iterative(GroverRun(8, k))
+            psi = grover_state_iterative(8, k)
             assert np.allclose(psi, np.full(8, 1 / math.sqrt(8)), atol=1e-14)
 
     def test_n4_single_query_is_exact(self):
-        psi = grover_state_iterative(GroverRun(4, 1, marked=2))
+        psi = grover_state_iterative(4, 1, 2)
         assert np.allclose(psi, [0, 1, 0, 0], atol=1e-12)
 
     def test_zero_queries_returns_uniform(self):
-        psi = grover_state_iterative(GroverRun(4, 0, marked=3))
+        psi = grover_state_iterative(4, 0, 3)
         assert np.allclose(psi, [0.5] * 4)
-        psi = grover_state_closed(GroverRun(4, 0, marked=3))
+        psi = grover_state_closed(4, 0, 3)
         assert np.allclose(psi, [0.5] * 4, atol=1e-14)
-
-    def test_closed_requires_marked(self):
-        with pytest.raises(ValueError):
-            grover_state_closed(GroverRun(4, 1))
 
     @pytest.mark.parametrize("n", [2, 4, 16, 100])
     def test_iterative_matches_closed_form(self, n):
@@ -43,18 +35,9 @@ class TestStates:
         marked = [1, int(rng.integers(1, n + 1))]
         for k in range(0, int(2 * math.sqrt(n)) + 1):
             for i in marked:
-                run = GroverRun(n, k, marked=i)
-                a = grover_state_iterative(run)
-                b = grover_state_closed(run)
+                a = grover_state_iterative(n, k, i)
+                b = grover_state_closed(n, k, i)
                 assert np.max(np.abs(a - b)) <= 1e-12
-
-    def test_run_validation(self):
-        with pytest.raises(ValueError):
-            GroverRun(1, 0)
-        with pytest.raises(ValueError):
-            GroverRun(4, -1)
-        with pytest.raises(ValueError):
-            GroverRun(4, 1, marked=5)
 
 
 class TestInversionAboutMean:
@@ -77,7 +60,7 @@ class TestOptimalQueryCount:
         k_hi = math.ceil(math.pi * math.sqrt(n) / 4) + 1
         overlaps = []
         for k in range(1, k_hi + 1):
-            psi = grover_state_iterative(GroverRun(n, k, marked=1))
+            psi = grover_state_iterative(n, k, 1)
             overlaps.append(psi[0] ** 2)
         best = max(overlaps)
         brute = next(k for k, v in enumerate(overlaps, start=1) if v >= best - 1e-11)
@@ -86,7 +69,7 @@ class TestOptimalQueryCount:
     def test_high_success_at_optimum(self):
         n = 100
         k = optimal_query_count(n)
-        psi = grover_state_closed(GroverRun(n, k, marked=1))
+        psi = grover_state_closed(n, k, 1)
         assert psi[0] ** 2 >= 0.99
         # naive rounding of pi*sqrt(N)/4 would give k=8, which does worse
         assert math.sin(17 * grover_angle(n) / 2) ** 2 == pytest.approx(0.9827, abs=1e-4)
@@ -121,7 +104,7 @@ class TestWinProbability:
         rho0, rho1 = grover_rho_pair(n, k)
         acc = np.zeros((n, n))
         for i in range(1, n + 1):
-            psi = grover_state_iterative(GroverRun(n, k, marked=i))
+            psi = grover_state_iterative(n, k, i)
             acc += np.outer(psi, psi)
         assert np.allclose(rho1, acc / n, atol=1e-12)
         psi0 = np.full(n, 1 / math.sqrt(n))
@@ -132,10 +115,6 @@ class TestWinProbability:
         _, rho1 = grover_rho_pair(6, 2)
         perm = rng.permutation(6)
         assert np.max(np.abs(rho1[np.ix_(perm, perm)] - rho1)) <= 1e-12
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            grover_rho_pair(8193, 1)
 
 
 class TestSpeedupCurve:
@@ -168,11 +147,13 @@ class TestSpeedupCurve:
                 speedup_curve(n, k_max)
 
     def test_row_cap(self):
-        # the largest N whose default search, ceil(pi sqrt(N)/4) + 1 counts, fits the cap
-        n_top = math.floor((4 * (MAX_CURVE_ROWS - 2) / math.pi) ** 2)
-        assert len(speedup_curve(n_top)) <= MAX_CURVE_ROWS
+        # the largest N whose default k_max, about pi/(2 theta) - 1/2, fits the cap:
+        # theta > pi/(2 MAX_CURVE_ROWS), i.e. 1/N > sin^2(pi/(4 MAX_CURVE_ROWS))
+        n_top = math.floor(1 / math.sin(math.pi / (4 * MAX_CURVE_ROWS)) ** 2)
+        assert optimal_query_count(n_top) == MAX_CURVE_ROWS - 1
+        assert len(speedup_curve(n_top)) == MAX_CURVE_ROWS
         assert len(speedup_curve(2 * MAX_CURVE_ROWS, MAX_CURVE_ROWS - 1)) == MAX_CURVE_ROWS
-        with pytest.raises(ValueError, match="default k_max searches more than"):
+        with pytest.raises(ValueError, match=f"capped at {MAX_CURVE_ROWS} rows"):
             speedup_curve(n_top + 1)
         with pytest.raises(ValueError, match=f"capped at {MAX_CURVE_ROWS} rows"):
             speedup_curve(2 * MAX_CURVE_ROWS, MAX_CURVE_ROWS)
