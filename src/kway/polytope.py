@@ -14,7 +14,9 @@ per (N, k), column by column, and HiGHS (Huangfu and Hall, Math. Prog.
 Comp. 10, 2018) solves it through scipy's compiled extension, called
 directly: a fresh solver per LP, through the one seam `linprog`.  A
 staircase decomposition turns each box point g_S/q_S into at most
-2^k + 1 weighted vertices.
+2^k + 1 weighted vertices.  When HiGHS finds the LP infeasible, the
+table rows of its dual ray, a Farkas certificate, give the y for which the
+exact route checks y.p > h(y); no second LP is solved.
 
 The vertex count and the largest witness value have closed forms
 (vertex_count, max_B_over_vertices), so nothing here lists the vertices;
@@ -26,7 +28,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import os
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -43,22 +44,23 @@ from .exactlp import check_member, separates, solve, support_function, walsh_cer
 # timings).  vertex_count and max_B_over_vertices share it.
 MAX_N_LP = 8
 FLOAT_FEAS_TOL = 1e-8  # float weights sum to 1 and rebuild the table within this
+HIGHS_FEAS_TOL = 1e-9  # HiGHS's primal feasibility tolerance, below FLOAT_FEAS_TOL
 WEIGHT_TOL = 1e-12    # float weights at or below this are dropped
 TIGHT_TOL = 1e-9      # a simplex q_S - g_S(a) or g_S(a) at or below this reads as 0
-INTERIOR_TOL = 1e-6   # the same for an interior point, whose primal tolerance is 1e-7
+INTERIOR_TOL = 1e-6   # the same for an interior point, which stops short of the boundary
 
 
+@functools.cache
 def _highs():
     """scipy's HiGHS extension, scipy.optimize._highspy._core, loaded alone.
 
     Importing it the usual way runs scipy.optimize's __init__, which costs
     about a second and 50 MB; the extension alone costs a few MB.  It is
-    loaded under its own name and registered in sys.modules, so a later
-    `import scipy.optimize` reuses this module object.
+    loaded under its own name and not registered in sys.modules; loading
+    the extension file again returns the same module object, so a later
+    `import scipy.optimize` sets scipy.optimize._highspy._core to this one.
     """
     name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
     scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
     if scipy is not None:
         folder = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
@@ -68,7 +70,6 @@ def _highs():
                 spec = importlib.util.spec_from_file_location(name, path)
                 module = importlib.util.module_from_spec(spec)
                 spec.loader.exec_module(module)
-                sys.modules[name] = module
                 return module
     raise ImportError(f"kway needs scipy>=1.17, which ships the HiGHS extension {name}")
 
@@ -77,6 +78,7 @@ class _LPResult(NamedTuple):
     status: int               # scipy's codes: 0 optimal, 2 infeasible, 4 any other outcome
     message: str
     x: Optional[np.ndarray]   # only when optimal
+    ray: Optional[np.ndarray] = None  # the dual ray, a Farkas certificate: when infeasible and HiGHS has one
 
 
 class _DirectHighs:
@@ -92,7 +94,13 @@ class _DirectHighs:
     the ones it returns.  Presolve is off: it left the status unknown on an
     infeasible N = 8, k = 4 table that HiGHS decides without it, and small
     LPs solve as fast or faster without it.  The dual simplex runs, or with
-    interior=True the interior-point method without crossover.
+    interior=True the interior-point method without crossover.  The primal
+    feasibility tolerance is HIGHS_FEAS_TOL rather than HiGHS's default of
+    1e-7, which is looser than FLOAT_FEAS_TOL: at the default, HiGHS
+    accepted tables near the boundary whose float weights then missed
+    them, and found no infeasibility, hence no ray, for non-members within
+    1e-7 of the polytope.  An infeasible simplex returns its dual ray; the
+    interior-point method without crossover returns none.
     """
 
     def __call__(self, c, *, matrix, row_lower, row_upper, col_lower, col_upper, interior=False) -> _LPResult:
@@ -108,6 +116,7 @@ class _DirectHighs:
         highs = core._Highs()
         highs.setOptionValue("output_flag", False)
         highs.setOptionValue("presolve", "off")
+        highs.setOptionValue("primal_feasibility_tolerance", HIGHS_FEAS_TOL)
         highs.setOptionValue("simplex_strategy", int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
         if interior:
             highs.setOptionValue("solver", "ipm")
@@ -118,7 +127,10 @@ class _DirectHighs:
         message = highs.modelStatusToString(status)
         if status == core.HighsModelStatus.kOptimal:
             return _LPResult(0, message, np.array(highs.getSolution().col_value))
-        return _LPResult(2 if status == core.HighsModelStatus.kInfeasible else 4, message, None)
+        if status == core.HighsModelStatus.kInfeasible:
+            _, has_ray, ray = highs.getDualRay()
+            return _LPResult(2, message, None, np.array(ray) if has_ray else None)
+        return _LPResult(4, message, None)
 
 
 linprog = _DirectHighs()
@@ -130,7 +142,7 @@ class PolytopeSizeError(ValueError):
 
 class CertificationError(RuntimeError):
     """No verdict checks: the exact route found neither a member point nor
-    a separating hyperplane that checks in exact arithmetic, the float
+    a Farkas ray of HiGHS that separates in exact arithmetic, the float
     weights miss the table, or HiGHS ended neither optimal nor infeasible."""
 
 
@@ -227,17 +239,15 @@ def _csc(rows, cols, vals, shape) -> _Csc:
 
 @dataclass(frozen=True)
 class _CompactLP:
-    """The membership LP and the separation LP for one (N, k), as CSC matrices.
+    """The membership LP for one (N, k), as a CSC matrix.
 
-    Membership columns: g_S(a) at s 2^k + a, then q_S at C 2^k + s.
-    Separation columns: y_x, then u_{S,a}, then t.
+    Columns: g_S(a) at s 2^k + a, then q_S at C 2^k + s.
     """
 
     subsets: tuple
     index: np.ndarray
     g_cols: np.ndarray    # g_cols[s, x]: the column of g_S(x_S)
     member: _Csc          # g_S(a) - q_S <= 0, then sum_S g_S(x_S) = p(x) for each x, then sum_S q_S = 1
-    separation: _Csc      # sum_{x_S = a} y_x - u_{S,a} <= 0, then sum_a u_{S,a} - t <= 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,22 +258,15 @@ def _compact_lp(n: int, k: int) -> _CompactLP:
     g_cols = np.arange(c)[:, None] * m + index
     g_col = g_cols.ravel()
     xs = np.tile(np.arange(size), c)
-    cells, subset_of_cell = np.arange(cm), np.arange(cm) // m
-    ones, minus = np.ones(cm), -np.ones(cm)
+    cells = np.arange(cm)
     member = _csc(
         [cells, cells, cm + xs, np.full(c, cm + size)],
-        [cells, cm + subset_of_cell, g_col, cm + np.arange(c)],
-        [ones, minus, np.ones(c * size), np.ones(c)],
+        [cells, cm + cells // m, g_col, cm + np.arange(c)],
+        [np.ones(cm), -np.ones(cm), np.ones(c * size), np.ones(c)],
         (cm + size + 1, cm + c),
     )
-    separation = _csc(
-        [g_col, cells, cm + subset_of_cell, cm + np.arange(c)],
-        [xs, size + cells, size + cells, np.full(c, size + cm)],
-        [np.ones(c * size), minus, ones, -np.ones(c)],
-        (cm + c, size + cm + 1),
-    )
     subsets = tuple(combinations(range(1, n + 1), k))
-    return _CompactLP(subsets, index, g_cols, member, separation)
+    return _CompactLP(subsets, index, g_cols, member)
 
 
 # Staircase vertices recur from call to call; one shared object per label
@@ -372,21 +375,6 @@ def _membership_lp(lp: _CompactLP, p_float, interior=False):
     return res
 
 
-def _separating_vector(lp: _CompactLP, p_float):
-    """y from the separation LP: maximize y.p - t over |y| <= 1, t >= h(y)."""
-    size = len(p_float)
-    cols = len(lp.separation.start) - 1
-    cost = np.zeros(cols)
-    cost[:size], cost[-1] = -p_float, 1.0
-    res = linprog(cost, matrix=lp.separation,
-                  row_lower=np.full(lp.separation.num_row, -np.inf), row_upper=np.zeros(lp.separation.num_row),
-                  col_lower=np.concatenate([-np.ones(size), np.zeros(cols - size)]),
-                  col_upper=np.concatenate([np.ones(size), np.full(cols - size, np.inf)]))
-    if res.status != 0:
-        raise CertificationError(f"LP solver failure: {res.message}")
-    return [Fraction(v) for v in res.x[:size].tolist()]
-
-
 def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult:
     """Is the behavior a convex mixture of level-k vertices?
 
@@ -408,7 +396,8 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
     2. a member gets Fraction weights from the LP equalities solved exactly
        on the support of HiGHS's simplex point, or failing that of an
        interior point, checked feasible before they are returned;
-    3. otherwise the separation LP proposes y, and y.p > h(y) is checked.
+    3. when the last of those LPs is infeasible, the table rows of HiGHS's
+       dual ray (a Farkas certificate) are a y, and y.p > h(y) is checked.
     If no certificate checks, it raises CertificationError.  That happens
     to tables within rounding of the boundary, whose exact value may fall
     on either side.  A mixture of vertices computed in floating point is
@@ -439,10 +428,11 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
     if res.status == 0:
         member = _exact_member(lp, res.x, p, TIGHT_TOL)
         if member is None:
-            inner = _membership_lp(lp, p_float, interior=True)
-            member = _exact_member(lp, inner.x, p, INTERIOR_TOL) if inner.status == 0 else None
+            res = _membership_lp(lp, p_float, interior=True)
+            member = _exact_member(lp, res.x, p, INTERIOR_TOL) if res.status == 0 else None
         if member is not None:
             return member
-    if separates(_separating_vector(lp, p_float), p, lp.index):
+    # the ray's entries on the 2^N table rows, between the box rows and the sum_S q_S row
+    if res.ray is not None and separates(res.ray[-len(p) - 1:-1].tolist(), p, lp.index):
         return MembershipResult(False, None)
     raise CertificationError(f"no exact certificate for N={n}, k={k}: the table may lie on the polytope's boundary")

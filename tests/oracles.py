@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 
 from kway.behavior import Behavior
 from kway.grover import grover_angle
-from kway.polytope import DeterministicVertex
+from kway.polytope import HIGHS_FEAS_TOL, DeterministicVertex
 
 VERTEX_LP_TOL = 1e-8
 OPERATOR_TOL = 1e-10  # a density operator passes its Hermiticity, trace and positivity checks within this
@@ -181,43 +181,30 @@ def vertex_lp_member(behavior, k):
 
 @functools.cache
 def _compact_matrices(n, k):
-    """The compact LPs of kway.polytope, dense and entry by entry: the
-    membership A_ub (g_S(a) - q_S <= 0) and A_eq (sum_S g_S(x_S) = p(x),
-    sum_S q_S = 1), and the separation A_ub (sum_{x_S = a} y_x - u_{S,a} <= 0,
-    sum_a u_{S,a} - t <= 0)."""
+    """The compact membership LP of kway.polytope, dense and entry by entry:
+    A_ub (g_S(a) - q_S <= 0) and A_eq (sum_S g_S(x_S) = p(x), sum_S q_S = 1)."""
     subsets = list(combinations(range(1, n + 1), k))
     c, m, size = len(subsets), 2 ** k, 2 ** n
     cm = c * m
     a_ub, a_eq = np.zeros((cm, cm + c)), np.zeros((size + 1, cm + c))
-    sep = np.zeros((cm + c, size + cm + 1))
     for s, locs in enumerate(subsets):
         for a in range(m):
             a_ub[s * m + a, s * m + a], a_ub[s * m + a, cm + s] = 1, -1
-            sep[s * m + a, size + s * m + a], sep[cm + s, size + s * m + a] = -1, 1
         for x in range(size):
             a = sum(((x >> (loc - 1)) & 1) << pos for pos, loc in enumerate(locs))
-            a_eq[x, s * m + a] = sep[s * m + a, x] = 1
-        a_eq[size, cm + s], sep[cm + s, -1] = 1, -1
-    return a_ub, a_eq, sep
+            a_eq[x, s * m + a] = 1
+        a_eq[size, cm + s] = 1
+    return a_ub, a_eq
 
 
 def linprog_membership(p, k, interior=False):
     """The compact membership LP by scipy.optimize.linprog, with the methods
-    and options kway passed it before it called HiGHS directly."""
-    a_ub, a_eq, _ = _compact_matrices(len(p).bit_length() - 1, k)
-    method, options = ("highs-ipm", {"presolve": False, "run_crossover": "off"}) if interior else ("highs", {"presolve": False})
+    and options that kway passes HiGHS."""
+    a_ub, a_eq = _compact_matrices(len(p).bit_length() - 1, k)
+    options = {"presolve": False, "primal_feasibility_tolerance": HIGHS_FEAS_TOL}
+    method, options = ("highs-ipm", {**options, "run_crossover": "off"}) if interior else ("highs", options)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="Unrecognized options")  # run_crossover goes to HiGHS verbatim
         return linprog(np.zeros(a_eq.shape[1]), A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq,
                        b_eq=np.append(p, 1.0), bounds=(0, None), method=method, options=options)
 
-
-def linprog_separation(p, k):
-    """The separation LP, maximize y.p - t over |y| <= 1 and t >= h(y), by
-    scipy.optimize.linprog as kway called it."""
-    _, _, sep = _compact_matrices(len(p).bit_length() - 1, k)
-    size, cols = len(p), sep.shape[1]
-    cost = np.zeros(cols)
-    cost[:size], cost[-1] = -np.asarray(p), 1.0
-    return linprog(cost, A_ub=sep, b_ub=np.zeros(len(sep)), bounds=[(-1.0, 1.0)] * size + [(0.0, None)] * (cols - size),
-                   method="highs", options={"presolve": False})

@@ -188,6 +188,12 @@ class TestWitnessCommand:
         assert b == pytest.approx(2.0, abs=1e-9)
         assert "member_k2 true" in out
 
+    def test_n3_small_phase_violation_is_proved(self, capsys):
+        # B - 2 = 6.6e-9: the separation that HiGHS's dual ray proposes checks exactly
+        code, out, _ = run(capsys, "witness", "--n", "3", "--phi", "0.000244140625")
+        assert code == 0
+        assert out.splitlines()[2:] == ["B 2.00000000662", "member_k2 false"]
+
     def test_guards(self, capsys):
         assert run(capsys, "witness", "--n", "4", "--phi", "1.0")[0] == 2
         assert run(capsys, "witness", "--n", "3")[0] == 2  # phi required

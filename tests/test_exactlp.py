@@ -166,7 +166,7 @@ def test_float_rounded_dirichlet_mixture_is_a_certified_non_member():
 
 def test_uncertified_verdict_raises_and_exits_1(capsys, monkeypatch):
     class Junk:
-        status, message = 0, "junk"
+        status, message, ray = 0, "junk", None
 
         def __init__(self, cols):
             self.x = np.zeros(cols)

@@ -11,15 +11,15 @@ from oracles import (
     VERTEX_LP_TOL,
     enumerate_vertices,
     linprog_membership,
-    linprog_separation,
     vertex_lp_member,
     vertex_table,
     vertex_to_behavior,
 )
 
 import kway
-from kway import polytope
+from kway import polytope, single_query
 from kway.behavior import Behavior, eval_B
+from kway.exactlp import separates
 from kway.polytope import (
     MAX_N_LP,
     DeterministicVertex,
@@ -199,13 +199,12 @@ def test_a_verdict_loads_only_the_highs_extension():
         from kway.behavior import Behavior
         from kway.polytope import is_k_way
         assert is_k_way(Behavior.from_table(4, [0.5] * 16), 2, mode="float").is_member
-        core = sys.modules["scipy.optimize._highspy._core"]
         print([m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules])
-        from scipy.optimize import linprog
-        res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+        import scipy.optimize
+        from kway import polytope
+        res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
         print(res.status, res.x.tolist())
-        from scipy.optimize._highspy import _core
-        print(_core is core is sys.modules["scipy.optimize._highspy._core"])
+        print(scipy.optimize._highspy._core is polytope._highs())
     """
     assert _run_with_kway(code).splitlines() == ["[]", "0 [1.0, 0.0]", "True"]
 
@@ -222,11 +221,10 @@ def _lp_tables(n, k, rng):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_highs_called_directly_matches_scipy_linprog(n, monkeypatch):
+def test_highs_called_directly_matches_scipy_linprog(n):
     """Same status and bit-identical points as scipy.optimize.linprog, on the
-    membership LP (simplex and interior point) and the separation LP."""
-    solved, direct = [], polytope.linprog
-    monkeypatch.setattr(polytope, "linprog", lambda c, **kwargs: solved.append(direct(c, **kwargs)) or solved[-1])
+    membership LP by simplex and by interior point; every infeasible simplex
+    returns a dual ray whose table rows separate the table exactly."""
     rng = np.random.default_rng(n)
     statuses = set()
     for k in range(1, n):
@@ -236,10 +234,10 @@ def test_highs_called_directly_matches_scipy_linprog(n, monkeypatch):
                 res, ref = polytope._membership_lp(lp, table, interior), linprog_membership(table, k, interior)
                 assert res.status == ref.status
                 assert res.status == 2 or np.array_equal(res.x, ref.x)
+                if res.status == 2 and not interior:
+                    y = res.ray[-len(table) - 1:-1].tolist()
+                    assert separates(y, [Fraction(v) for v in table], lp.index)
                 statuses.add(res.status)
-            polytope._separating_vector(lp, table)
-            ref = linprog_separation(table, k)
-            assert solved[-1].status == ref.status == 0 and np.array_equal(solved[-1].x, ref.x)
     assert statuses == {0, 2}
 
 
@@ -290,20 +288,26 @@ def test_float_route_matches_the_vertex_lp(n, k, count):
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def _dyadic_segments(n):
+    """Eight (inner, outer, t*): a dyadic (N-1)-way member inner, the witness
+    table outer, and the t* at which inner + t*(outer - inner) has B = N - 1."""
+    rng = np.random.default_rng(n)
+    vertices = np.array([vertex_table(v, n) for v in enumerate_vertices(n, n - 1)], dtype=float)
+    outer = _witness_table(n)
+    for _ in range(8):
+        ids = rng.choice(len(vertices), 4, replace=False)
+        inner = 0.25 + 0.5 * ((1 + rng.multinomial(12, [0.25] * 4)) / 16) @ vertices[ids]
+        b_inner = -inner[0] + sum(inner[1 << i] for i in range(n))
+        yield inner, outer, (n - 1 - b_inner) / (n - b_inner)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_exact_route_matches_the_vertex_lp_on_dyadic_tables(n):
     """Dyadic members and dyadic points near the witness facet, on the affine
     hull, so that the exact and the float verdicts agree."""
     k = n - 1
-    rng = np.random.default_rng(n)
-    vertices = np.array([vertex_table(v, n) for v in enumerate_vertices(n, k)], dtype=float)
-    outer = _witness_table(n)
     verdicts = []
-    for _ in range(8):
-        ids = rng.choice(len(vertices), 4, replace=False)
-        inner = 0.25 + 0.5 * ((1 + rng.multinomial(12, [0.25] * 4)) / 16) @ vertices[ids]
-        b_inner = -inner[0] + sum(inner[1 << i] for i in range(n))
-        t_star = (n - 1 - b_inner) / (n - b_inner)
+    for inner, outer, t_star in _dyadic_segments(n):
         for t in (0.0, np.floor(t_star * 1024 - 1) / 1024, np.ceil(t_star * 1024 + 1) / 1024):
             b = Behavior.from_table(n, inner + t * (outer - inner))
             res = is_k_way(b, k, mode="exact")
@@ -316,3 +320,28 @@ def test_exact_route_matches_the_vertex_lp_on_dyadic_tables(n):
                 assert mix == [Fraction(p) for p in b.p1]
             verdicts.append(res.is_member)
     assert 8 < sum(verdicts) < 24
+
+
+@pytest.mark.parametrize("j", [24, 27, 30])
+def test_dyadic_tables_just_past_the_witness_facet_are_non_members(j):
+    """B exceeds N - 1 by about 2^-j.  At HiGHS's default primal tolerance,
+    1e-7, both routes raised CertificationError on all eight tables at
+    j = 27, and the float route called them members at j = 30."""
+    n = 3
+    for inner, outer, t_star in _dyadic_segments(n):
+        t = np.ceil(t_star * 2.0 ** j + 1) / 2.0 ** j
+        b = Behavior.from_table(n, inner + t * (outer - inner))
+        p = [Fraction(v) for v in b.p1]
+        assert -p[0] + sum(p[1 << i] for i in range(n)) > n - 1
+        for mode in ("exact", "float"):
+            assert not is_k_way(b, n - 1, mode=mode).is_member
+
+
+def test_helstrom_table_near_the_facet_is_a_float_non_member():
+    """At phi = 2^-12 the N = 2 table sits 3e-8 past the witness facet; at
+    HiGHS's default primal tolerance, 1e-7, its float weights missed it by 4.5e-8."""
+    pattern = single_query.PhasePattern.half_half(2, 2.0 ** -12)
+    p0, rho0, p1, rho1 = single_query.build_discrimination_pair(2, pattern)
+    b = single_query.induced_behavior(2, pattern, single_query.helstrom(p0, rho0, p1, rho1)[1])
+    assert not is_k_way(b, 1, mode="float").is_member
+    assert not is_k_way(b, 1, mode="exact").is_member
