@@ -27,9 +27,7 @@ def walsh_certificate(p, n: int, k: int):
     chi_T(x) = (-1)^{|x & T|}.  The coefficients come from an integer fast
     Walsh-Hadamard transform of p scaled to a common denominator.
     """
-    exact = [Fraction(v) for v in p]
-    den = math.lcm(*(v.denominator for v in exact))
-    w = [v.numerator * (den // v.denominator) for v in exact]
+    w, _ = _integers(p)
     h = 1
     while h < len(w):
         for start in range(0, len(w), 2 * h):
@@ -100,23 +98,32 @@ def check_member(g, q, p, index) -> bool:
     return all(sum(g_s[a] for g_s, a in zip(g, col)) == p_x for p_x, col in zip(p, index.T.tolist()))
 
 
+def _integers(values):
+    """Integers w and a common denominator den with values = w / den exactly."""
+    exact = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in exact))
+    return [v.numerator * (den // v.denominator) for v in exact], den
+
+
 def support_function(y, index):
-    """h(y) = max over the k-way vertices v of y.v.
+    """h(y) = max over the k-way vertices v of y.v, as an exact Fraction.
 
     For each subset S the best function outputs 1 exactly on the fibres
     {x : x_S = a} whose y-sum is positive, so
-    h(y) = max_S sum_a max(0, sum_{x_S = a} y_x).  Exact for int or
-    Fraction entries.
+    h(y) = max_S sum_a max(0, sum_{x_S = a} y_x), summed on integers from
+    the exact value of each entry, int, float or Fraction.
     """
+    w, den = _integers(y)
     best = 0
     for fibre in index.tolist():
         sums = {}
-        for a, y_x in zip(fibre, y):
-            sums[a] = sums.get(a, 0) + y_x
+        for a, w_x in zip(fibre, w):
+            sums[a] = sums.get(a, 0) + w_x
         best = max(best, sum(v for v in sums.values() if v > 0))
-    return best
+    return Fraction(best, den)
 
 
 def separates(y, p, index) -> bool:
-    """y.p > h(y), exactly: the hyperplane y.v = h(y) separates p from the polytope."""
+    """y.p > h(y), exactly for int, float or Fraction entries: the hyperplane
+    y.v = h(y) separates p from the polytope."""
     return sum(Fraction(a) * Fraction(b) for a, b in zip(y, p)) > support_function(y, index)

@@ -363,7 +363,8 @@ def _exact_member(lp: _CompactLP, x, p, tol) -> Optional[MembershipResult]:
 def _membership_lp(lp: _CompactLP, p_float, interior=False):
     """HiGHS on the compact LP: a vertex of the feasible set by dual simplex,
     or with interior=True a point inside it, by the interior-point method
-    without crossover."""
+    without crossover.  An infeasible result keeps its dual ray's entries
+    on the table rows only: the y that separates checks."""
     cols = len(lp.member.start) - 1
     cells = cols - len(lp.subsets)
     res = linprog(np.zeros(cols), matrix=lp.member, interior=interior,
@@ -372,7 +373,7 @@ def _membership_lp(lp: _CompactLP, p_float, interior=False):
                   col_lower=np.zeros(cols), col_upper=np.full(cols, np.inf))
     if res.status not in (0, 2):
         raise CertificationError(f"LP solver failure: {res.message}")
-    return res
+    return res if res.ray is None else res._replace(ray=res.ray[cells:cells + len(p_float)])
 
 
 def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult:
@@ -432,7 +433,6 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
             member = _exact_member(lp, res.x, p, INTERIOR_TOL) if res.status == 0 else None
         if member is not None:
             return member
-    # the ray's entries on the 2^N table rows, between the box rows and the sum_S q_S row
-    if res.ray is not None and separates(res.ray[-len(p) - 1:-1].tolist(), p, lp.index):
+    if res.ray is not None and separates(res.ray.tolist(), p, lp.index):
         return MembershipResult(False, None)
     raise CertificationError(f"no exact certificate for N={n}, k={k}: the table may lie on the polytope's boundary")

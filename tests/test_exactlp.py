@@ -132,6 +132,14 @@ def test_separates_needs_a_strict_gap():
     assert not separates(y, [F(0), F(1), F(0), F(0)], index)
 
 
+def test_float_entries_are_summed_exactly():
+    # y.p = 1 + 2^-60 = h(y) at the vertex p = [1, 1, 0, 0]; in floats h(y) rounds to 1
+    index = fibre_index(2, 1)
+    y = [1.0, 2.0 ** -60, 0.0, 0.0]
+    assert support_function(y, index) == 1 + F(1, 2 ** 60)
+    assert not separates(y, [F(1), F(1), F(0), F(0)], index)
+
+
 # --- the exact route's certificates -------------------------------------------
 
 def test_entries_one_ulp_below_one_are_a_certified_member():
