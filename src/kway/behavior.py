@@ -51,6 +51,8 @@ def eval_B(behavior: Behavior) -> float:
 def classical_win_bound(n: int, k: int) -> float:
     """Best winning probability reachable by reading k of the N inputs, in the
     game with prior 1/2 on the all-zero input and 1/(2N) on each one-hot input."""
+    if n < 1:
+        raise BehaviorError("need at least one location")
     if not 0 <= k <= n:
         raise BehaviorError(f"query count k={k} must lie in [0, {n}]")
     return 0.5 * (1.0 + k / n)

@@ -10,8 +10,9 @@ the s-th subset S reads at x (see polytope.fibre_index).
 * walsh_certificate: the affine hull of the k-way polytope is the span of
   the Walsh characters chi_T with |T| <= k, so a nonzero coefficient with
   |T| > k proves non-membership, with y = +-chi_T and h(y) = 0.
-* solve and check_member: the compact LP's equalities solved exactly on
-  HiGHS's support, and the exact test that the point found is feasible.
+* solve: the compact LP's equalities solved exactly on HiGHS's support.
+  polytope checks the point found by its staircase weights, the ones it
+  returns: nonnegative, summing to 1 and rebuilding the table exactly.
 * support_function and separates: h(y), the largest y.v over the vertices
   v, and the test y.p > h(y), which proves that p is not k-way.
 """
@@ -83,19 +84,6 @@ def solve(rows, rhs, guess):
         rest = sum(v * x[j] for j, v in row.items() if j != c and j != width)
         x[c] = (row.get(width, 0) - rest) / Fraction(row[c])
     return x
-
-
-def check_member(g, q, p, index) -> bool:
-    """0 <= g_S(a) <= q_S, sum_S q_S = 1 and sum_S g_S(x_S) = p(x) for every x, exactly.
-
-    Then p is a mixture of vertices: each box point g_S/q_S lies in the
-    cube of all functions on S.
-    """
-    if sum(q) != 1:
-        return False
-    if any(not 0 <= v <= q_s for g_s, q_s in zip(g, q) for v in g_s):
-        return False
-    return all(sum(g_s[a] for g_s, a in zip(g, col)) == p_x for p_x, col in zip(p, index.T.tolist()))
 
 
 def _integers(values):

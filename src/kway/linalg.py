@@ -20,7 +20,7 @@ def check_hermitian(h: np.ndarray) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {h.shape}")
     dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
-    if dev > HERM_TOL:
+    if not dev <= HERM_TOL:  # NaN fails
         raise NotHermitianError(f"matrix deviates from Hermitian by {dev:g}")
     return h
 

@@ -14,9 +14,11 @@ per (N, k), column by column, and HiGHS (Huangfu and Hall, Math. Prog.
 Comp. 10, 2018) solves it through scipy's compiled extension, called
 directly: a fresh solver per LP, through the one seam `linprog`.  A
 staircase decomposition turns each box point g_S/q_S into at most
-2^k + 1 weighted vertices.  When HiGHS finds the LP infeasible, the
-table rows of its dual ray, a Farkas certificate, give the y for which the
-exact route checks y.p > h(y); no second LP is solved.
+2^k + 1 weighted vertices.  Those weights, the ones returned, are the
+proof of membership on both routes: they must rebuild the table and sum
+to 1, within FLOAT_FEAS_TOL or exactly.  When HiGHS finds the LP
+infeasible, the table rows of its dual ray, a Farkas certificate, give
+the y for which the exact route checks y.p > h(y); no second LP is solved.
 
 The vertex count and the largest witness value have closed forms
 (vertex_count, max_B_over_vertices), so nothing here lists the vertices;
@@ -37,7 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .behavior import Behavior
-from .exactlp import check_member, separates, solve, support_function, walsh_certificate
+from .exactlp import separates, solve, support_function, walsh_certificate
 
 # One verdict on either route costs about a second or less up to this size,
 # at every k; the worst measured is k = 5 at N = 8 (see CHANGES.md for the
@@ -101,18 +103,15 @@ class _DirectHighs:
     them, and found no infeasibility, hence no ray, for non-members within
     1e-7 of the polytope.  An infeasible simplex returns its dual ray; the
     interior-point method without crossover returns none.
+
+    The model goes in through passModel's flat overload, which takes the
+    cached numpy arrays as buffers, not element by element.  Its
+    integrality holds a zero per column: an empty one makes passModel
+    fail, and HiGHS then reports the model empty.
     """
 
     def __call__(self, c, *, matrix, row_lower, row_upper, col_lower, col_upper, interior=False) -> _LPResult:
         core = _highs()
-        lp = core.HighsLp()
-        lp.num_col_, lp.num_row_ = len(c), matrix.num_row
-        lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, col_lower, col_upper
-        lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-        a = lp.a_matrix_
-        a.format_ = core.MatrixFormat.kColwise
-        a.num_col_, a.num_row_ = len(c), matrix.num_row
-        a.start_, a.index_, a.value_ = matrix.start, matrix.index, matrix.value
         highs = core._Highs()
         highs.setOptionValue("output_flag", False)
         highs.setOptionValue("presolve", "off")
@@ -121,7 +120,9 @@ class _DirectHighs:
         if interior:
             highs.setOptionValue("solver", "ipm")
             highs.setOptionValue("run_crossover", "off")
-        highs.passModel(lp)
+        highs.passModel(len(c), matrix.num_row, len(matrix.value), core.MatrixFormat.kColwise,
+                        core.ObjSense.kMinimize, 0.0, c, col_lower, col_upper, row_lower, row_upper,
+                        matrix.start, matrix.index, matrix.value, np.zeros(len(c), np.int32))
         highs.run()
         status = highs.getModelStatus()
         message = highs.modelStatusToString(status)
@@ -274,42 +275,44 @@ def _compact_lp(n: int, k: int) -> _CompactLP:
 _vertex = functools.lru_cache(maxsize=4096)(DeterministicVertex)
 
 
-def _staircase(locs, g_s, q_s, tol):
-    """(vertex, weight) pairs on the subset locs, weights above tol, with
-    sum w = q_s and sum w table = g_s.
+def _mixture(lp: _CompactLP, g, q, p, drop):
+    """(weights, gap) for the staircase vertices of each box point g_S/q_S,
+    or None when a weight is negative, i.e. some g_S(a) lies outside [0, q_S].
 
-    Sort the coordinates in decreasing order: the j-th vertex outputs 1 on
-    the top j of them, with weight (j-th largest) - ((j+1)-th largest),
-    where q_s stands above the largest and 0 below the smallest.
+    Sort g_S in decreasing order: the j-th vertex on S outputs 1 on the top
+    j coordinates, with weight (j-th largest) - ((j+1)-th largest), q_S
+    above the largest and 0 below the smallest.  Weights at or below drop
+    are left out, of the sums too.  The gap, the larger of
+    max_x |sum w v(x) - p(x)| and |sum w - 1|, is 0 iff the weights mix to p.
     """
-    order = sorted(range(len(g_s)), key=g_s.__getitem__, reverse=True)
-    levels = [q_s] + [g_s[a] for a in order] + [0]
-    table = [0] * len(g_s)
-    out = []
-    for j in range(len(g_s) + 1):
-        if j:
-            table[order[j - 1]] = 1
-        w = levels[j] - levels[j + 1]
-        if w > tol:
-            out.append((_vertex(locs, tuple(table)), w))
-    return out
+    m = 2 ** len(lp.subsets[0])
+    weights, rebuilt, total = {}, 0, 0
+    for locs, g_s, q_s, fibre in zip(lp.subsets, g, q, lp.index):
+        order = sorted(range(m), key=g_s.__getitem__, reverse=True)
+        levels = [q_s] + [g_s[a] for a in order] + [0]
+        table, box = [0] * m, [0] * m
+        for j in range(m + 1):
+            if j:
+                table[order[j - 1]] = 1
+            w = levels[j] - levels[j + 1]
+            if w < 0:
+                return None
+            if w > drop:
+                weights[_vertex(locs, tuple(table))] = w
+                total += w
+                for a in order[:j]:
+                    box[a] += w
+        rebuilt = rebuilt + np.array(box)[fibre]
+    return weights, max(np.max(np.abs(rebuilt - p)), abs(total - 1))
 
 
 def _float_member(lp: _CompactLP, x, p) -> MembershipResult:
     """Weights read off HiGHS's point, checked against the table within FLOAT_FEAS_TOL."""
     c, m = len(lp.subsets), 2 ** len(lp.subsets[0])
-    g, q = x[: c * m].reshape(c, m), np.maximum(x[c * m:], 0.0)
-    g = np.clip(g, 0.0, q[:, None]).tolist()
-    weights, rebuilt, total = {}, np.zeros(len(p)), 0.0
-    for s, locs in enumerate(lp.subsets):
-        box = np.zeros(m)
-        for v, w in _staircase(locs, g[s], float(q[s]), WEIGHT_TOL):
-            weights[v] = w
-            box += w * np.array(v.truth_table)
-            total += w
-        rebuilt += box[lp.index[s]]
-    gap = max(float(np.max(np.abs(rebuilt - p))), abs(total - 1.0))
-    if gap > FLOAT_FEAS_TOL:
+    q = np.maximum(x[c * m:], 0.0)
+    g = np.clip(x[: c * m].reshape(c, m), 0.0, q[:, None])
+    weights, gap = _mixture(lp, g.tolist(), q.tolist(), p, WEIGHT_TOL)  # clipped, so never None
+    if not gap <= FLOAT_FEAS_TOL:
         raise CertificationError(f"LP weights miss the table by {gap:g}")
     return MembershipResult(True, weights)
 
@@ -352,11 +355,9 @@ def _exact_member(lp: _CompactLP, x, p, tol) -> Optional[MembershipResult]:
         full = [Fraction(0)] * (cm + c)
         for j in support:
             full[j] = z[column[j]]
-        g = [full[s * m:(s + 1) * m] for s in range(c)]
-        q = full[cm:]
-        if check_member(g, q, p, lp.index):
-            weights = {v: w for locs, g_s, q_s in zip(lp.subsets, g, q) for v, w in _staircase(locs, g_s, q_s, 0)}
-            return MembershipResult(True, weights)
+        mix = _mixture(lp, [full[s * m:(s + 1) * m] for s in range(c)], full[cm:], p, 0)
+        if mix is not None and mix[1] == 0:
+            return MembershipResult(True, mix[0])
     return None
 
 
@@ -396,7 +397,8 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
        polytope's affine hull, a non-member (no LP is solved);
     2. a member gets Fraction weights from the LP equalities solved exactly
        on the support of HiGHS's simplex point, or failing that of an
-       interior point, checked feasible before they are returned;
+       interior point: the staircase weights of that solution, checked
+       nonnegative, summing to 1 and rebuilding the table exactly;
     3. when the last of those LPs is infeasible, the table rows of HiGHS's
        dual ray (a Farkas certificate) are a y, and y.p > h(y) is checked.
     If no certificate checks, it raises CertificationError.  That happens

@@ -63,15 +63,9 @@ class PhasePattern:
         vals = [float(p) for p in self.phases]
         if not all(math.isfinite(p) for p in vals):
             raise ValueError("phases must be finite")
-        canon = []
-        for p in vals:
-            r = math.fmod(p, 2 * math.pi)
-            if r > math.pi:
-                r -= 2 * math.pi
-            elif r <= -math.pi:
-                r += 2 * math.pi
-            canon.append(r)
-        object.__setattr__(self, "phases", tuple(canon))
+        # atan2 reduces by the exact 2 pi; fmod by the float 2 pi errs by |p| 3.9e-17
+        canon = [p if -math.pi < p <= math.pi else math.atan2(math.sin(p), math.cos(p)) for p in vals]
+        object.__setattr__(self, "phases", tuple(math.pi if p == -math.pi else p for p in canon))
 
     def __len__(self):
         return len(self.phases)
@@ -125,7 +119,7 @@ def helstrom(p0: float, rho0: np.ndarray, p1: float, rho1: np.ndarray):
     onto the eigenvectors with lambda > ZERO_EIG_TOL.  The measurement's
     other element is pi0 = I - pi1, the null space included.
     """
-    if abs(p0 + p1 - 1.0) > PROB_TOL or p0 < 0 or p1 < 0:
+    if not (abs(p0 + p1 - 1.0) <= PROB_TOL and p0 >= 0 and p1 >= 0):  # NaN fails
         raise ValueError("priors must be a probability pair")
     if rho0.shape != rho1.shape:
         raise ValueError("density operators must share a dimension")

@@ -84,6 +84,8 @@ class TestClassicalBound:
     def test_rejects_k_above_n(self):
         with pytest.raises(BehaviorError):
             classical_win_bound(3, 4)
+        with pytest.raises(BehaviorError, match="at least one location"):
+            classical_win_bound(0, 0)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_monotone_and_matches_or_strategy(self, n):

@@ -73,6 +73,14 @@ class TestViolationCommand:
         assert float(cells[2]) == pytest.approx((math.sqrt(5 - 4 * math.cos(0.7759)) - 1) / 2, abs=1e-12)
         assert cells[4] == "violation"
 
+    @pytest.mark.parametrize("phi", ["1e6", "1e10", "-1e10", "1e12"])
+    def test_large_phase_reduced_by_the_exact_period(self, capsys, phi):
+        # the pattern's phases and the closed form's cos and sin agree however large |phi|
+        code, out, _ = run(capsys, "violation", "--n", "5", f"--phi={phi}")
+        cells = out.strip().split("\n")[1].split(",")
+        assert code == 0
+        assert float(cells[2]) == pytest.approx(float(cells[3]), abs=1e-12), cells
+
     @pytest.mark.parametrize("command,n", [("violation", "4"), ("witness", "3")])
     @pytest.mark.parametrize("flag", ["--phi", "--phi-deg"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -8,7 +8,7 @@ from oracles import enumerate_vertices, vertex_table
 from kway import polytope
 from kway.behavior import Behavior
 from kway.cli import main
-from kway.exactlp import check_member, separates, solve, support_function, walsh_certificate
+from kway.exactlp import separates, solve, support_function, walsh_certificate
 from kway.polytope import CertificationError, fibre_index, is_k_way
 
 
@@ -33,11 +33,12 @@ def test_single_equation():
 
 def test_infeasible_sign():
     # every equality holds exactly, but g_S(a) = -1/4 < 0 on the first subset
-    index = fibre_index(2, 1)
+    lp = polytope._compact_lp(2, 1)
     g, q = [[F(-1, 4), F(-1, 4)], [F(3, 4), F(3, 4)]], [F(0), F(1)]
     p = [F(1, 2)] * 4
-    assert not check_member(g, q, p, index)
-    assert check_member([[F(0), F(0)], [F(1, 2), F(1, 2)]], [F(0), F(1)], p, index)
+    assert polytope._mixture(lp, g, q, p, 0) is None
+    weights, gap = polytope._mixture(lp, [[F(0), F(0)], [F(1, 2), F(1, 2)]], [F(0), F(1)], p, 0)
+    assert gap == 0 and sum(weights.values()) == 1
 
 
 def test_infeasible_inconsistent():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import trace_norm
 
-from kway.linalg import NotHermitianError, eigh
+from kway.linalg import NotHermitianError, eigh, eigvalsh
 
 
 def random_hermitian(rng, dim):
@@ -39,6 +39,8 @@ class TestEigh:
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NotHermitianError):
             eigh(np.zeros((2, 3)))
+        with pytest.raises(NotHermitianError):  # NaN deviates by NaN, which is not <= HERM_TOL
+            eigvalsh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
     def test_reconstruction_and_orthonormality(self, dim):

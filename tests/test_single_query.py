@@ -168,6 +168,8 @@ class TestHelstrom:
         rho = np.outer(MINUS, MINUS)
         with pytest.raises(ValueError):
             helstrom(0.4, rho, 0.4, rho)
+        with pytest.raises(ValueError):
+            helstrom(float("nan"), rho, float("nan"), rho)
 
 
 def helstrom_of_gap(gap):
