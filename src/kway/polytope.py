@@ -286,7 +286,7 @@ def _mixture(lp: _CompactLP, g, q, p, drop):
     max_x |sum w v(x) - p(x)| and |sum w - 1|, is 0 iff the weights mix to p.
     """
     m = 2 ** len(lp.subsets[0])
-    weights, rebuilt, total = {}, 0, 0
+    weights, rebuilt = {}, 0
     for locs, g_s, q_s, fibre in zip(lp.subsets, g, q, lp.index):
         order = sorted(range(m), key=g_s.__getitem__, reverse=True)
         levels = [q_s] + [g_s[a] for a in order] + [0]
@@ -299,11 +299,10 @@ def _mixture(lp: _CompactLP, g, q, p, drop):
                 return None
             if w > drop:
                 weights[_vertex(locs, tuple(table))] = w
-                total += w
                 for a in order[:j]:
                     box[a] += w
         rebuilt = rebuilt + np.array(box)[fibre]
-    return weights, max(np.max(np.abs(rebuilt - p)), abs(total - 1))
+    return weights, max(np.max(np.abs(rebuilt - p)), abs(sum(weights.values()) - 1))
 
 
 def _float_member(lp: _CompactLP, x, p) -> MembershipResult:
