@@ -13,7 +13,6 @@ from .behavior import (
     eval_B,
 )
 from .grover import (
-    ScanRecord,
     optimal_query_count,
     quantum_win_prob,
     speedup_curve,
@@ -27,9 +26,7 @@ from .polytope import (
     vertex_count,
 )
 from .single_query import (
-    ClosedFormSpectrum,
     PhasePattern,
-    Regime,
     build_discrimination_pair,
     delta_closed_form,
     delta_max,

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 a failed checked invariant (a consistency check,
 a non-Hermitian operator or a membership verdict without an exact
-certificate), 2 bad usage or bad input, including any other ValueError the
-library raises.
+certificate), 2 bad usage or bad input, that is any other ValueError.
 CSV output uses '.' decimals, a header row, LF endings and 12 significant
 digits, so identical invocations are byte-identical.
 """
@@ -32,10 +31,6 @@ MAX_N_WITNESS = 3
 VIOLATION_TOL = 1e-9  # witness: a member table with B > N - 1 + this fails the consistency check
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
@@ -58,7 +53,7 @@ def _emit(rows, header, fmt: str, out):
             with open(out, "w", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -67,14 +62,14 @@ def _resolve_phi(args) -> float:
     """--phi, or --phi-deg in radians; argparse lets at most one through."""
     phi = args.phi if args.phi_deg is None else math.radians(args.phi_deg)
     if phi is not None and not math.isfinite(phi):
-        raise UsageError("the phase must be a finite number")
+        raise ValueError("the phase must be a finite number")
     return phi
 
 
 def _violation_row(n: int, phi: float):
     d_num = single_query.delta_numeric(n, single_query.PhasePattern.half_half(n, phi))
-    d_closed, spectrum = single_query.delta_closed_form(n, phi)
-    return (n, phi, d_num, d_closed, spectrum.regime.value, n - 1 + d_num, float(n - 1))
+    d_closed, violates = single_query.delta_closed_form(n, phi)
+    return (n, phi, d_num, d_closed, "violation" if violates else "none", n - 1 + d_num, float(n - 1))
 
 
 def _delta_max_row(n: int):
@@ -82,20 +77,12 @@ def _delta_max_row(n: int):
     return _violation_row(n, phi)
 
 
-VIOLATION_HEADER = (
-    "n",
-    "phi",
-    "delta_numeric",
-    "delta_closed_form",
-    "regime",
-    "B_quantum",
-    "B_classical_bound",
-)
+VIOLATION_HEADER = ("n", "phi", "delta_numeric", "delta_closed_form", "regime", "B_quantum", "B_classical_bound")
 
 
 def cmd_violation(args) -> int:
     if not 2 <= args.n <= single_query.MAX_N_STRUCTURED:
-        raise UsageError(f"violation requires 2 <= n <= {single_query.MAX_N_STRUCTURED}")
+        raise ValueError(f"violation requires 2 <= n <= {single_query.MAX_N_STRUCTURED}")
     phi = _resolve_phi(args)
     row = _violation_row(args.n, phi) if phi is not None else _delta_max_row(args.n)
     _emit([row], VIOLATION_HEADER, args.format, args.out)
@@ -117,20 +104,15 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_grover(args) -> int:
-    rows = [
-        (r.n, r.k, r.p_quantum, r.p_classical, r.gap)
-        for r in grover.speedup_curve(args.n, args.kmax)
-    ]
-    _emit(rows, ("n", "k", "p_quantum", "p_classical", "gap"), args.format, args.out)
+    curve = grover.speedup_curve(args.n, args.kmax)
+    _emit(curve, ("n", "k", "p_quantum", "p_classical", "gap"), args.format, args.out)
     return EXIT_OK
 
 
 def cmd_witness(args) -> int:
     if not 2 <= args.n <= MAX_N_WITNESS:
-        raise UsageError(f"witness uses the exact LP path and requires 2 <= n <= {MAX_N_WITNESS}")
-    phi = _resolve_phi(args)
-    if phi is None:
-        raise UsageError("witness requires --phi or --phi-deg")
+        raise ValueError(f"witness uses the exact LP path and requires 2 <= n <= {MAX_N_WITNESS}")
+    phi = _resolve_phi(args)  # argparse requires --phi or --phi-deg
     pattern = single_query.PhasePattern.half_half(args.n, phi)
     p0, rho0, p1, rho1 = single_query.build_discrimination_pair(args.n, pattern)
     _, pi1 = single_query.helstrom(p0, rho0, p1, rho1)
@@ -150,9 +132,9 @@ def cmd_witness(args) -> int:
 
 def cmd_scan(args) -> int:
     if not 2 <= args.n_min <= args.n_max <= single_query.MAX_N_STRUCTURED:
-        raise UsageError(f"scan requires 2 <= n-min <= n-max <= {single_query.MAX_N_STRUCTURED}")
+        raise ValueError(f"scan requires 2 <= n-min <= n-max <= {single_query.MAX_N_STRUCTURED}")
     if (args.n_min + args.n_max) * (args.n_max - args.n_min + 1) // 2 > MAX_SCAN_N_SUM:
-        raise UsageError(f"scan caps the sum of N over its rows at {MAX_SCAN_N_SUM}")
+        raise ValueError(f"scan caps the sum of N over its rows at {MAX_SCAN_N_SUM}")
     rows = [_delta_max_row(n) for n in range(args.n_min, args.n_max + 1)]
     _emit(rows, VIOLATION_HEADER, args.format, args.out)
     return EXIT_OK
@@ -204,10 +186,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _bind_phases(argv):
+    """Write --phi X as --phi=X: argparse takes an X such as -1e10 for an option."""
+    bound = []
+    for token in argv:
+        if bound and bound[-1] in ("--phi", "--phi-deg") and not token.startswith("--"):
+            bound[-1] += "=" + token
+        else:
+            bound.append(token)
+    return bound
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_phases(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:

@@ -11,25 +11,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .behavior import classical_win_bound
 
 MAX_CURVE_ROWS = 10_000
 TIE_TOL = 1e-12  # success probabilities this close tie, and a tie goes to fewer queries
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    n: int
-    k: int
-    p_quantum: float
-    p_classical: float
-
-    @property
-    def gap(self) -> float:
-        return self.p_quantum - self.p_classical
 
 
 def grover_angle(n: int) -> float:
@@ -69,7 +56,7 @@ def quantum_win_prob(n: int, k: int) -> float:
 
 
 def speedup_curve(n: int, k_max: Optional[int] = None):
-    """ScanRecords (k, quantum, classical) for k = 0 .. k_max, with k_max in [0, N].
+    """Rows (n, k, p_quantum, p_classical, p_quantum - p_classical), k = 0 .. k_max in [0, N].
 
     At most MAX_CURVE_ROWS rows; the default k_max is optimal_query_count(N).
     """
@@ -81,7 +68,5 @@ def speedup_curve(n: int, k_max: Optional[int] = None):
         raise ValueError(f"k_max must lie in [0, N], got k_max={k_max}, N={n}")
     if k_max >= MAX_CURVE_ROWS:
         raise ValueError(f"a curve is capped at {MAX_CURVE_ROWS} rows, so k_max <= {MAX_CURVE_ROWS - 1}")
-    return [
-        ScanRecord(n, k, quantum_win_prob(n, k), classical_win_bound(n, k))
-        for k in range(k_max + 1)
-    ]
+    curve = [(k, quantum_win_prob(n, k), classical_win_bound(n, k)) for k in range(k_max + 1)]
+    return [(n, k, pq, pc, pq - pc) for k, pq, pc in curve]

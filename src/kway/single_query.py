@@ -30,7 +30,6 @@ returns the sharp values, which delta_numeric confirms.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -46,11 +45,6 @@ MAX_N_DENSE = 2048
 MAX_N_STRUCTURED = 1_000_000
 # induced_behavior holds the 2^N encoded states, 16 N 2^N bytes.
 MAX_N_TABLE = 16
-
-
-class Regime(enum.Enum):
-    NO_VIOLATION = "none"
-    VIOLATION = "violation"
 
 
 @dataclass(frozen=True)
@@ -76,15 +70,6 @@ class PhasePattern:
         k = n // 2
         plus = n - k
         return cls(tuple([phi] * plus + [-phi] * k))
-
-
-@dataclass(frozen=True)
-class ClosedFormSpectrum:
-    a_coef: float           # N - 3 + 2 cos(phi)
-    lambda_plus: float
-    lambda_minus: float
-    bulk_eigenvalue: float  # (2/N)(1 - cos phi)/(N+1), multiplicity N-2
-    regime: Regime
 
 
 def build_discrimination_pair(n: int, pattern: PhasePattern):
@@ -159,15 +144,15 @@ def delta_numeric(n: int, pattern: PhasePattern) -> float:
 
 
 def delta_closed_form(n: int, phi: float):
-    """Analytic (delta, spectrum) for the half/half +-phi pattern, N >= 2.
+    """Analytic (delta, violates) for the half/half +-phi pattern, N >= 2.
 
     The shifted operator (N+1)(p1 rho_1 - p0 rho_0) - c*I restricted to the
     span of the uniform state and the phase vector is a 2x2 block with
     diagonal A = N - 3 + 2 cos(phi) and off-diagonal sin(phi) (even N) or
     sin(phi) sqrt(1 - 1/N^2) (odd N), where c = (2/N)(1 - cos phi).
-    delta is positive exactly when c < |lambda_-|; at phi = 0 both are
-    exactly 0, so phi = 0 gives no violation.  At N = 2 the even form
-    gives delta = (sqrt(5 - 4 cos phi) - 1)/2, positive for every phi != 0.
+    violates is c < |lambda_-|, exactly when delta is positive; at phi = 0
+    both are exactly 0, so phi = 0 gives no violation.  At N = 2 the even
+    form gives delta = (sqrt(5 - 4 cos phi) - 1)/2, positive for every phi != 0.
     """
     if n < 2:
         raise ValueError("closed form defined for N >= 2")
@@ -178,17 +163,9 @@ def delta_closed_form(n: int, phi: float):
     if n % 2 == 1:
         off2 *= 1.0 - 1.0 / (n * n)
     disc = math.sqrt(a * a + off2)
-    lam_plus = 0.5 * (a + disc)
-    lam_minus = 0.5 * (a - disc)
-    bulk = (2.0 / n) * (1.0 - c)
-    if bulk < abs(lam_minus):
-        regime = Regime.VIOLATION
-        delta = 1.5 - n / 2 - 2.0 / n + (2.0 / n) * c - c + 0.5 * disc
-    else:
-        regime = Regime.NO_VIOLATION
-        delta = 0.0
-    spectrum = ClosedFormSpectrum(a, lam_plus, lam_minus, bulk / (n + 1), regime)
-    return delta, spectrum
+    violates = (2.0 / n) * (1.0 - c) < abs(0.5 * (a - disc))
+    delta = 1.5 - n / 2 - 2.0 / n + (2.0 / n) * c - c + 0.5 * disc
+    return (delta if violates else 0.0), violates
 
 
 def violation_threshold(n: int) -> float:

@@ -89,6 +89,25 @@ class TestViolationCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "head,flag,value,tail",
+        [
+            (("violation", "--n", "5"), "--phi", "-1e10", ()),
+            (("violation", "--n", "5"), "--phi-deg", "-1e3", ()),
+            (("witness", "--n", "3"), "--phi", "-2.5e-1", ()),
+            (("violation",), "--phi", "-1E-3", ("--n", "4", "--format", "json")),
+        ],
+    )
+    def test_negative_phase_in_exponent_notation(self, capsys, head, flag, value, tail):
+        # argparse's negative-number pattern has no exponent, so it took -1e10 for an option
+        spaced = run(capsys, *head, flag, value, *tail)
+        assert spaced[0] == 0
+        assert spaced == run(capsys, *head, f"{flag}={value}", *tail)
+
+    @pytest.mark.parametrize("flag", ["--phi", "--phi-deg"])
+    def test_negative_infinite_phase_is_the_non_finite_error(self, capsys, flag):
+        assert run(capsys, "violation", "--n", "5", flag, "-inf") == (2, "", "error: the phase must be a finite number\n")
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "violation", "--n", "4", "--phi", "1.0", "--format", "json")
         assert code == 0

@@ -120,15 +120,15 @@ class TestWinProbability:
 class TestSpeedupCurve:
     def test_n4_rows(self):
         rows = speedup_curve(4, 1)
-        assert [(r.k, r.p_quantum, r.p_classical) for r in rows] == [
-            (0, pytest.approx(0.5), pytest.approx(0.5)),
-            (1, pytest.approx(0.875), pytest.approx(0.625)),
+        assert [(n, k, pq, pc) for n, k, pq, pc, _ in rows] == [
+            (4, 0, pytest.approx(0.5), pytest.approx(0.5)),
+            (4, 1, pytest.approx(0.875), pytest.approx(0.625)),
         ]
-        assert rows[1].gap == pytest.approx(0.25)
+        assert rows[1][4] == pytest.approx(0.25)
 
     def test_zero_row_only(self):
         rows = speedup_curve(16, 0)
-        assert len(rows) == 1 and rows[0].p_quantum == pytest.approx(0.5)
+        assert len(rows) == 1 and rows[0][2] == pytest.approx(0.5)
 
     def test_quantum_beats_classical_at_optimum(self):
         for n in (16, 64):
@@ -138,7 +138,7 @@ class TestSpeedupCurve:
     def test_n64_quadratic_separation(self):
         # quantum reaches 0.99 within 8 queries; classically that needs k >= 63
         rows = speedup_curve(64, 8)
-        assert any(r.p_quantum >= 0.99 for r in rows)
+        assert any(pq >= 0.99 for _, _, pq, _, _ in rows)
         assert all(0.5 * (1 + k / 64) < 0.99 for k in range(63))
 
     def test_kmax_guard(self):

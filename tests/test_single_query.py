@@ -19,7 +19,6 @@ from kway.single_query import (
     MAX_N_STRUCTURED,
     MAX_N_TABLE,
     PhasePattern,
-    Regime,
     build_discrimination_pair,
     delta_closed_form,
     delta_max,
@@ -296,8 +295,7 @@ class TestClosedForm:
         # bulk eigenvalue and lambda_- are both exactly 0 there
         for n in range(2, 51):
             for phi in (0.0, -0.0, 5e-324):
-                d, spec = delta_closed_form(n, phi)
-                assert (d, spec.regime) == (0.0, Regime.NO_VIOLATION), (n, phi)
+                assert delta_closed_form(n, phi) == (0.0, False), (n, phi)
 
     def test_vanishes_as_phi_goes_to_zero(self):
         for n in (4, 6, 8):
@@ -305,21 +303,24 @@ class TestClosedForm:
             assert 0 <= d < 1e-7
 
     def test_regime_reported(self):
-        _, spec = delta_closed_form(4, PI / 2)
-        assert spec.regime is Regime.VIOLATION
-        assert spec.a_coef == pytest.approx(1.0)
-        _, spec = delta_closed_form(7, math.acos(0.4))
-        assert spec.regime is Regime.NO_VIOLATION
+        # at N = 4, phi = pi/2 the block has A = 1 and off-diagonal 1, so lambda_- = (1 - sqrt 5)/2
+        d, violates = delta_closed_form(4, PI / 2)
+        assert violates is True
+        assert d == pytest.approx((math.sqrt(5) - 2) / 2)
+        assert delta_closed_form(7, math.acos(0.4))[1] is False
 
-    def test_bulk_eigenvalue_and_block_eigenvalues(self):
-        n, phi = 5, 1.2
-        _, spec = delta_closed_form(n, phi)
-        a = n - 3 + 2 * math.cos(phi)
-        disc = math.sqrt(a * a + 4 * math.sin(phi) ** 2 * (1 - 1 / n ** 2))
-        assert spec.lambda_plus == pytest.approx((a + disc) / 2)
-        assert spec.lambda_minus == pytest.approx((a - disc) / 2)
-        assert spec.bulk_eigenvalue == pytest.approx((2 / n) * (1 - math.cos(phi)) / (n + 1))
-        assert spec.lambda_plus >= spec.lambda_minus
+    def test_violates_is_the_sharp_threshold(self):
+        # the block test c < |lambda_-| and the bound on cos(phi) are two forms of one decision
+        rng = np.random.default_rng(0)
+        checked = 0
+        for n in range(2, 301):
+            for phi in PI * (1 - rng.random(60)):  # (0, pi]
+                margin = math.cos(phi) - violation_threshold(n)
+                if abs(margin) < 1e-9:
+                    continue
+                assert delta_closed_form(n, phi)[1] == (margin > 0), (n, phi)
+                checked += 1
+        assert checked == 17940
 
     def test_two_location_algebraic_check_at_pi(self):
         # the even-N expression continues to N=2, phi=pi: A=-3 and delta=1
