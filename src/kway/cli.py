@@ -20,9 +20,8 @@ from .linalg import NotHermitianError
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
-# A scan's rows cost O(N) each; its total, the sum of N, may reach what one
-# row at single_query.MAX_N_STRUCTURED costs.
-MAX_SCAN_N_SUM = single_query.MAX_N_STRUCTURED
+# A scan row costs the same at every N, so the cap is on rows.
+MAX_SCAN_ROWS = 10_000
 # The Helstrom table is computed in floating point, and rounding alone can
 # put it off the (N-1)-way polytope's affine hull.  At N = 5, phi = 2.0,
 # where delta = 0, its top Walsh coefficient is -4.4e-16, so the exact
@@ -133,8 +132,8 @@ def cmd_witness(args) -> int:
 def cmd_scan(args) -> int:
     if not 2 <= args.n_min <= args.n_max <= single_query.MAX_N_STRUCTURED:
         raise ValueError(f"scan requires 2 <= n-min <= n-max <= {single_query.MAX_N_STRUCTURED}")
-    if (args.n_min + args.n_max) * (args.n_max - args.n_min + 1) // 2 > MAX_SCAN_N_SUM:
-        raise ValueError(f"scan caps the sum of N over its rows at {MAX_SCAN_N_SUM}")
+    if args.n_max - args.n_min + 1 > MAX_SCAN_ROWS:
+        raise ValueError(f"scan caps its rows, n-max - n-min + 1, at {MAX_SCAN_ROWS}")
     rows = [_delta_max_row(n) for n in range(args.n_min, args.n_max + 1)]
     _emit(rows, VIOLATION_HEADER, args.format, args.out)
     return EXIT_OK
@@ -186,11 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _is_phase_flag(token: str) -> bool:
+    """--phi, or a prefix of --phi-deg that argparse reads as --phi-deg alone."""
+    return token == "--phi" or (len(token) > len("--phi") and "--phi-deg".startswith(token))
+
+
 def _bind_phases(argv):
     """Write --phi X as --phi=X: argparse takes an X such as -1e10 for an option."""
     bound = []
     for token in argv:
-        if bound and bound[-1] in ("--phi", "--phi-deg") and not token.startswith("--"):
+        if bound and _is_phase_flag(bound[-1]) and not token.startswith("--"):
             bound[-1] += "=" + token
         else:
             bound.append(token)

@@ -12,7 +12,8 @@ delta is computed by two independent routes:
 * delta_numeric, for any PhasePattern: (N+1)(p1 rho_1 - p0 rho_0) is a
   diagonal plus a part that depends only on the phases, so grouping the
   locations by phase deflates its spectrum to one eigenvalue per group
-  and a G x G Hermitian block for G distinct phases;
+  and a G x G Hermitian block for G distinct phases.  A pattern holds its
+  phases as runs, so the groups, and delta, cost O(runs), not O(N);
 * delta_closed_form, for the half/half +-phi pattern: the analytic spectrum,
   a bulk eigenvalue of multiplicity N-2 and a 2x2 block.
 
@@ -31,6 +32,7 @@ returns the sharp values, which delta_numeric confirms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,36 +42,66 @@ from .linalg import eigh, eigvalsh
 
 ZERO_EIG_TOL = 1e-10  # helstrom assigns gap eigenvalues at or below this to pi0
 # build_discrimination_pair allocates N x N complex operators (16 N^2 bytes
-# each); delta_numeric holds O(N) floats plus the pattern itself.
+# each).
 MAX_N_DENSE = 2048
+# delta_numeric holds O(runs) values and the half/half pattern two runs at
+# any N; the cap keeps the range of N that `violation` and `scan` accept.
 MAX_N_STRUCTURED = 1_000_000
 # induced_behavior holds the 2^N encoded states, 16 N 2^N bytes.
 MAX_N_TABLE = 16
 
 
-@dataclass(frozen=True)
-class PhasePattern:
-    """Per-location oracle phases, canonicalized to (-pi, pi]."""
-
-    phases: tuple
-
-    def __post_init__(self):
-        vals = [float(p) for p in self.phases]
-        if not all(math.isfinite(p) for p in vals):
-            raise ValueError("phases must be finite")
+def _canonical(phase) -> float:
+    """The phase in (-pi, pi]."""
+    p = float(phase)
+    if not math.isfinite(p):
+        raise ValueError("phases must be finite")
+    if not -math.pi < p <= math.pi:
         # atan2 reduces by the exact 2 pi; fmod by the float 2 pi errs by |p| 3.9e-17
-        canon = [p if -math.pi < p <= math.pi else math.atan2(math.sin(p), math.cos(p)) for p in vals]
-        object.__setattr__(self, "phases", tuple(math.pi if p == -math.pi else p for p in canon))
+        p = math.atan2(math.sin(p), math.cos(p))
+    return math.pi if p == -math.pi else p
+
+
+@dataclass(frozen=True, init=False)
+class PhasePattern:
+    """Oracle phases in location order, held as runs ((phase, count), ...).
+
+    Each phase is canonicalized to (-pi, pi], and adjacent locations with
+    equal phases share one run.  PhasePattern(phases) takes one phase per
+    location; PhasePattern(runs=...) takes (phase, count) pairs.
+    """
+
+    runs: tuple
+
+    def __init__(self, phases=None, *, runs=None):
+        if (phases is None) == (runs is None):
+            raise ValueError("give either phases or runs")
+        if runs is None:
+            runs = ((p, 1) for p in phases)
+        merged = []
+        for phase, count in runs:
+            p, m = _canonical(phase), operator.index(count)
+            if m < 0:
+                raise ValueError("run lengths must be non-negative")
+            if merged and merged[-1][0] == p:
+                merged[-1][1] += m
+            elif m:
+                merged.append([p, m])
+        object.__setattr__(self, "runs", tuple((p, m) for p, m in merged))
+
+    @property
+    def phases(self) -> tuple:
+        """One phase per location: O(N), for the dense routes only."""
+        return tuple(p for p, m in self.runs for _ in range(m))
 
     def __len__(self):
-        return len(self.phases)
+        return sum(m for _, m in self.runs)
 
     @classmethod
     def half_half(cls, n: int, phi: float) -> "PhasePattern":
         """ceil(N/2) locations at +phi, the remaining floor(N/2) at -phi."""
         k = n // 2
-        plus = n - k
-        return cls(tuple([phi] * plus + [-phi] * k))
+        return cls(runs=((phi, n - k), (-phi, k)))
 
 
 def build_discrimination_pair(n: int, pattern: PhasePattern):
@@ -133,14 +165,23 @@ def delta_numeric(n: int, pattern: PhasePattern) -> float:
         raise ValueError(f"structured route capped at N={MAX_N_STRUCTURED}")
     if len(pattern) != n:
         raise ValueError("pattern length must equal N")
-    phases, sizes = np.unique(np.array(pattern.phases), return_counts=True)
-    z = np.exp(1j * phases)
-    root_m = np.sqrt(sizes)
-    # z_g + conj(z_h) is exactly conj(z_h + conj(z_g)) in floating point, so
-    # r is exactly Hermitian however large N makes its entries
-    r = np.outer(root_m, root_m) * ((n - 3) + (z[:, None] + z.conj()[None, :])) / n
-    r[np.diag_indices_from(r)] += (2 * np.sin(phases / 2)) ** 2 / n
-    return float(np.sum(np.maximum(-eigvalsh(r), 0.0)))
+    groups = {}
+    for p, m in pattern.runs:
+        groups[p] = groups.get(p, 0) + m
+    phases = sorted(groups)  # ascending, so the block does not depend on the order of the runs
+    z = [complex(math.cos(p), math.sin(p)) for p in phases]
+    root_m = [math.sqrt(groups[p]) for p in phases]
+    # z_g + conj(z_h) is exactly conj(z_h + conj(z_g)) in floating point, so r
+    # is exactly Hermitian however large N makes its entries.  Scaling by the
+    # float 1/N matches numpy's complex division by N bit for bit.
+    inv_n = 1.0 / n
+    r = [[root_m[g] * root_m[h] * ((n - 3) + (z[g] + z[h].conjugate())) * inv_n for h in range(len(z))]
+         for g in range(len(z))]
+    for g, p in enumerate(phases):
+        t = 2 * math.sin(p / 2)
+        r[g][g] += t * t / n
+    # the float start keeps delta a float, and 0.0 + -0.0 is 0.0
+    return sum((max(-lam, 0.0) for lam in eigvalsh(np.array(r)).tolist()), 0.0)
 
 
 def delta_closed_form(n: int, phi: float):

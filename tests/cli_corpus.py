@@ -17,7 +17,11 @@ output, byte for byte, on all 1,090 command lines:
   and 5, in both formats;
 * witness at N = 2, 3 and four phases;
 * polytope at every 1 <= k <= n <= 8.
+
+With --dump FILE it also writes each call's repr, one line per call, so
+that the dumps of two versions can be compared with diff.
 """
+import argparse
 import contextlib
 import hashlib
 import io
@@ -56,15 +60,22 @@ def corpus():
             yield ["polytope", "--n", str(n), "--k", str(k)]
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Digest of kway's CLI output over a fixed corpus.")
+    parser.add_argument("--dump", metavar="FILE", help="also write one repr per call to FILE")
+    args = parser.parse_args(argv)
     digest = hashlib.sha256()
     calls = 0
-    for argv in corpus():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(list(argv))
-        digest.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
-        calls += 1
+    with open(args.dump, "w") if args.dump else contextlib.nullcontext() as dump:
+        for command in corpus():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(list(command))
+            line = repr((command, code, out.getvalue(), err.getvalue()))
+            digest.update(line.encode())
+            if dump:
+                dump.write(line + "\n")
+            calls += 1
     print(f"{calls} {digest.hexdigest()}")
     return 0
 

@@ -54,6 +54,17 @@ class TestViolationCommand:
             assert code == 2 and out == ""
             assert err == f"error: violation requires 2 <= n <= {cap}\n"
 
+    def test_largest_rows_never_list_the_locations(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("phases expanded")
+
+        monkeypatch.setattr(single_query.PhasePattern, "phases", property(refuse))
+        cap = str(single_query.MAX_N_STRUCTURED)
+        for argv in (("violation", "--n", cap), ("violation", "--n", cap, "--phi", "1"),
+                     ("scan", "--n-min", str(single_query.MAX_N_STRUCTURED - 20), "--n-max", cap)):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "", argv
+
     def test_numeric_matches_closed_form_at_large_n(self, capsys):
         rows = []
         for phi in ("0.2", "1", "2.5"):
@@ -96,10 +107,14 @@ class TestViolationCommand:
             (("violation", "--n", "5"), "--phi-deg", "-1e3", ()),
             (("witness", "--n", "3"), "--phi", "-2.5e-1", ()),
             (("violation",), "--phi", "-1E-3", ("--n", "4", "--format", "json")),
+            (("violation", "--n", "5"), "--phi-d", "-1e3", ()),
+            (("witness", "--n", "3"), "--phi-", "-2.5e-1", ()),
+            (("violation", "--n", "5"), "--phi-de", "-1e-3", ("--format", "json")),
         ],
     )
     def test_negative_phase_in_exponent_notation(self, capsys, head, flag, value, tail):
-        # argparse's negative-number pattern has no exponent, so it took -1e10 for an option
+        # argparse's negative-number pattern has no exponent, so it took -1e10 for an option;
+        # an abbreviated --phi-deg is bound like the full flag
         spaced = run(capsys, *head, flag, value, *tail)
         assert spaced[0] == 0
         assert spaced == run(capsys, *head, f"{flag}={value}", *tail)
@@ -246,12 +261,12 @@ class TestScanCommand:
 
     def test_run_length_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_delta_max_row", lambda n: (n,) + (0.0,) * 6)
-        cap, half = cli.MAX_SCAN_N_SUM, cli.MAX_SCAN_N_SUM // 2
-        code, out, _ = run(capsys, "scan", "--n-min", str(cap), "--n-max", str(cap))
-        assert code == 0 and out.count("\n") == 2  # sum of N = cap
-        code, out, err = run(capsys, "scan", "--n-min", str(half), "--n-max", str(half + 1))
-        assert code == 2 and out == ""  # sum of N = cap + 1
-        assert err == f"error: scan caps the sum of N over its rows at {cli.MAX_SCAN_N_SUM}\n"
+        cap, top = cli.MAX_SCAN_ROWS, single_query.MAX_N_STRUCTURED
+        code, out, _ = run(capsys, "scan", "--n-min", str(top - cap + 1), "--n-max", str(top))
+        assert code == 0 and out.count("\n") == cap + 1  # cap rows at the largest N
+        code, out, err = run(capsys, "scan", "--n-min", "2", "--n-max", str(cap + 2))
+        assert code == 2 and out == ""  # cap + 1 rows
+        assert err == f"error: scan caps its rows, n-max - n-min + 1, at {cap}\n"
 
 
 @pytest.mark.parametrize("command", ["violation", "witness"])
@@ -289,7 +304,7 @@ def test_argv_fuzz_exits_cleanly(capsys, tmp_path):
     """Every generated command line exits 0 or 2 without a traceback."""
     # (valid values, invalid values) per kind of flag
     far = [str(10 * single_query.MAX_N_STRUCTURED), "10" * 12]  # above the N caps of violation, scan, polytope, witness
-    caps = [str(polytope.MAX_N_LP + 1), str(cli.MAX_N_WITNESS + 1), "1415"]  # 2 + ... + 1415 > MAX_SCAN_N_SUM
+    caps = [str(polytope.MAX_N_LP + 1), str(cli.MAX_N_WITNESS + 1), str(cli.MAX_SCAN_ROWS + 2)]  # scan 2 ... cap + 2
     sizes = (["2", "3", str(polytope.MAX_N_LP)], ["-3", "0", "1", "nan", "abc", "", "2.5"] + caps + far)
     # grover runs past N = 8192, where a dense route would not, and refuses an N whose default curve passes MAX_CURVE_ROWS
     grover_sizes = (sizes[0] + ["8193"], sizes[1] + [str(4 * grover.MAX_CURVE_ROWS ** 2)])

@@ -76,10 +76,50 @@ class TestPhasePattern:
         assert even.phases == (1.0, 1.0, -1.0, -1.0)
         odd = PhasePattern.half_half(5, 1.0)
         assert odd.phases == (1.0, 1.0, 1.0, -1.0, -1.0)
+        assert odd.runs == ((1.0, 3), (-1.0, 2)) and len(odd) == 5
+        assert PhasePattern.half_half(10 ** 6, PI).runs == ((PI, 10 ** 6),)  # -pi is pi
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PhasePattern((float("nan"),))
+        with pytest.raises(ValueError):
+            PhasePattern(runs=((float("inf"), 2),))
+
+    def test_rejects_malformed_runs(self):
+        with pytest.raises(ValueError):
+            PhasePattern(runs=((1.0, -1),))
+        with pytest.raises(TypeError):
+            PhasePattern(runs=((1.0, 1.5),))
+        with pytest.raises(ValueError):
+            PhasePattern((1.0,), runs=((1.0, 1),))
+        with pytest.raises(ValueError):
+            PhasePattern()
+
+    def test_runs_and_per_location_phases_agree(self):
+        rng = np.random.default_rng(20261019)
+        base = [0.0, -0.0, PI, -PI, 3 * PI, 1.0, -2.5, 1e6]
+        # x + 2 pi and the phase it reduces to: two spellings of one location's phase
+        shifted = [x + 2 * PI for x in rng.uniform(-PI, PI, 4)]
+        pool = base + shifted + [math.atan2(math.sin(y), math.cos(y)) for y in shifted]
+        dense = 0
+        for _ in range(400):
+            picks = rng.integers(0, len(pool), int(rng.integers(1, 8)))
+            runs = [(pool[i], int(m)) for i, m in zip(picks, rng.integers(0, 5, len(picks)))]
+            if rng.random() < 0.3:
+                runs += runs[:1]  # the first phase again, after the others
+            by_runs = PhasePattern(runs=runs)
+            by_location = PhasePattern(tuple(p for p, m in runs for _ in range(m)))
+            assert by_runs == by_location, runs
+            assert by_runs.phases == by_location.phases and len(by_runs) == len(by_location)
+            n = len(by_runs)
+            if n < 2:
+                continue
+            d = delta_numeric(n, by_runs)
+            assert d.hex() == delta_numeric(n, by_location).hex(), runs
+            if n <= 12 and len(by_runs.runs) > 1:
+                assert abs(d - dense_delta(n, by_location)) <= 1e-12, runs
+                dense += 1
+        assert dense > 100
 
 
 class TestDiscriminationPair:
