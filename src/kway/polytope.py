@@ -12,13 +12,15 @@ P(1|x) = sum_S g_S(x_S) with 0 <= g_S(a) <= q_S, q_S >= 0 and sum_S q_S = 1.
 That LP has C(N,k)(2^k + 1) columns.  Its sparse matrices are built once
 per (N, k), column by column, and HiGHS (Huangfu and Hall, Math. Prog.
 Comp. 10, 2018) solves it through scipy's compiled extension, called
-directly: a fresh solver per LP, through the one seam `linprog`.  A
-staircase decomposition turns each box point g_S/q_S into at most
-2^k + 1 weighted vertices.  Those weights, the ones returned, are the
-proof of membership on both routes: they must rebuild the table and sum
-to 1, within FLOAT_FEAS_TOL or exactly.  When HiGHS finds the LP
-infeasible, the table rows of its dual ray, a Farkas certificate, give
-the y for which the exact route checks y.p > h(y); no second LP is solved.
+directly through the one seam `linprog`.  Each thread reuses its own
+solvers, and passModel discards the previous model's state, so results
+do not depend on the calls before.  A staircase decomposition turns each
+box point g_S/q_S into at most 2^k + 1 weighted vertices.  Those
+weights, the ones returned, are the proof of membership on both routes:
+they must rebuild the table and sum to 1, within FLOAT_FEAS_TOL or
+exactly.  When HiGHS finds the LP infeasible, the table rows of its dual
+ray, a Farkas certificate, give the y for which the exact route checks
+y.p > h(y); no second LP is solved.
 
 The vertex count and the largest witness value have closed forms
 (vertex_count, max_B_over_vertices), so nothing here lists the vertices;
@@ -30,6 +32,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -90,7 +93,14 @@ class _DirectHighs:
     Every LP of this module goes through the instance `linprog`: tests
     substitute fakes there, and benchmark/tracer.py times it as a layer of
     its own, which it does for an instance but not for a function.  Each
-    call builds a fresh solver, so a verdict never depends on earlier calls.
+    thread keeps one solver per method, created with its options on the
+    first LP of that method and reused for every later one: at N = 4, 5,
+    building a solver and its first run cost 0.1-0.3 ms, as much as a
+    whole solve at N = 4.  passModel discards the previous model with its
+    basis and solution, so every LP still starts cold and a verdict does
+    not depend on earlier calls.  HiGHS runs without the GIL, so threads
+    solve in parallel, each on its own solvers; two threads sharing one
+    break each other's runs.
 
     With the options of scipy's linprog, the points are bit for bit
     the ones it returns.  Presolve is off: it left the status unknown on an
@@ -101,8 +111,8 @@ class _DirectHighs:
     1e-7, which is looser than FLOAT_FEAS_TOL: at the default, HiGHS
     accepted tables near the boundary whose float weights then missed
     them, and found no infeasibility, hence no ray, for non-members within
-    1e-7 of the polytope.  An infeasible simplex returns its dual ray; the
-    interior-point method without crossover returns none.
+    1e-7 of the polytope.  With ray=True an infeasible simplex returns its
+    dual ray; the interior-point method without crossover returns none.
 
     The model goes in through passModel's flat overload, which takes the
     cached numpy arrays as buffers, not element by element.  Its
@@ -110,7 +120,11 @@ class _DirectHighs:
     fail, and HiGHS then reports the model empty.
     """
 
-    def __call__(self, c, *, matrix, row_lower, row_upper, col_lower, col_upper, interior=False) -> _LPResult:
+    def __init__(self):
+        self._threads = threading.local()
+
+    @staticmethod
+    def _solver(interior):
         core = _highs()
         highs = core._Highs()
         highs.setOptionValue("output_flag", False)
@@ -120,6 +134,15 @@ class _DirectHighs:
         if interior:
             highs.setOptionValue("solver", "ipm")
             highs.setOptionValue("run_crossover", "off")
+        return highs
+
+    def __call__(self, c, *, matrix, row_lower, row_upper, col_lower, col_upper, interior=False, ray=False) -> _LPResult:
+        core = _highs()
+        method = "ipm" if interior else "simplex"
+        highs = getattr(self._threads, method, None)
+        if highs is None:
+            highs = self._solver(interior)
+            setattr(self._threads, method, highs)
         highs.passModel(len(c), matrix.num_row, len(matrix.value), core.MatrixFormat.kColwise,
                         core.ObjSense.kMinimize, 0.0, c, col_lower, col_upper, row_lower, row_upper,
                         matrix.start, matrix.index, matrix.value, np.zeros(len(c), np.int32))
@@ -129,8 +152,11 @@ class _DirectHighs:
         if status == core.HighsModelStatus.kOptimal:
             return _LPResult(0, message, np.array(highs.getSolution().col_value))
         if status == core.HighsModelStatus.kInfeasible:
-            _, has_ray, ray = highs.getDualRay()
-            return _LPResult(2, message, None, np.array(ray) if has_ray else None)
+            if ray:
+                _, has_ray, dual_ray = highs.getDualRay()
+                if has_ray:
+                    return _LPResult(2, message, None, np.array(dual_ray))
+            return _LPResult(2, message, None)
         return _LPResult(4, message, None)
 
 
@@ -360,14 +386,15 @@ def _exact_member(lp: _CompactLP, x, p, tol) -> Optional[MembershipResult]:
     return None
 
 
-def _membership_lp(lp: _CompactLP, p_float, interior=False):
+def _membership_lp(lp: _CompactLP, p_float, interior=False, ray=False):
     """HiGHS on the compact LP: a vertex of the feasible set by dual simplex,
     or with interior=True a point inside it, by the interior-point method
-    without crossover.  An infeasible result keeps its dual ray's entries
-    on the table rows only: the y that separates checks."""
+    without crossover.  With ray=True an infeasible simplex result keeps
+    its dual ray's entries on the table rows only: the y that separates
+    checks.  Only the exact route reads it."""
     cols = len(lp.member.start) - 1
     cells = cols - len(lp.subsets)
-    res = linprog(np.zeros(cols), matrix=lp.member, interior=interior,
+    res = linprog(np.zeros(cols), matrix=lp.member, interior=interior, ray=ray,
                   row_lower=np.concatenate([np.full(cells, -np.inf), p_float, [1.0]]),
                   row_upper=np.concatenate([np.zeros(cells), p_float, [1.0]]),
                   col_lower=np.zeros(cols), col_upper=np.full(cols, np.inf))
@@ -424,13 +451,13 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
         y = walsh_certificate(p, n, k)
         if y is not None and separates(y, p, lp.index):
             return MembershipResult(False, None)
-    res = _membership_lp(lp, p_float)
+    res = _membership_lp(lp, p_float, ray=mode == "exact")
     if mode == "float":
         return _float_member(lp, res.x, p_float) if res.status == 0 else MembershipResult(False, None)
     if res.status == 0:
         member = _exact_member(lp, res.x, p, TIGHT_TOL)
         if member is None:
-            res = _membership_lp(lp, p_float, interior=True)
+            res = _membership_lp(lp, p_float, interior=True, ray=True)
             member = _exact_member(lp, res.x, p, INTERIOR_TOL) if res.status == 0 else None
         if member is not None:
             return member

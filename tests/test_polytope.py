@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -22,6 +23,7 @@ from kway.behavior import Behavior, eval_B
 from kway.exactlp import separates
 from kway.polytope import (
     MAX_N_LP,
+    CertificationError,
     DeterministicVertex,
     PolytopeSizeError,
     fibre_index,
@@ -224,20 +226,45 @@ def _lp_tables(n, k, rng):
 def test_highs_called_directly_matches_scipy_linprog(n):
     """Same status and bit-identical points as scipy.optimize.linprog, on the
     membership LP by simplex and by interior point; every infeasible simplex
-    returns a dual ray whose table rows separate the table exactly."""
+    returns a dual ray whose table rows separate the table exactly.  The
+    LPs then run again in reverse order, which alternates the methods, and
+    give the same points and rays: the reused solvers carry nothing over."""
     rng = np.random.default_rng(n)
-    statuses = set()
-    for k in range(1, n):
-        lp = polytope._compact_lp(n, k)
-        for table in _lp_tables(n, k, rng):
-            for interior in (False, True):
-                res, ref = polytope._membership_lp(lp, table, interior), linprog_membership(table, k, interior)
-                assert res.status == ref.status
-                assert res.status == 2 or np.array_equal(res.x, ref.x)
-                if res.status == 2 and not interior:
-                    assert separates(res.ray.tolist(), [Fraction(v) for v in table], lp.index)
-                statuses.add(res.status)
+    lps = [(polytope._compact_lp(n, k), k, table, interior)
+           for k in range(1, n) for table in _lp_tables(n, k, rng) for interior in (False, True)]
+    forward, statuses = [], set()
+    for lp, k, table, interior in lps:
+        res, ref = polytope._membership_lp(lp, table, interior, ray=True), linprog_membership(table, k, interior)
+        assert res.status == ref.status
+        assert res.status == 2 or np.array_equal(res.x, ref.x)
+        if res.status == 2 and not interior:
+            assert separates(res.ray.tolist(), [Fraction(v) for v in table], lp.index)
+        forward.append((res, ref))
+        statuses.add(res.status)
     assert statuses == {0, 2}
+    for (lp, k, table, interior), (first, ref) in zip(reversed(lps), reversed(forward)):
+        res = polytope._membership_lp(lp, table, interior, ray=True)
+        assert res.status == ref.status
+        assert res.status == 2 or np.array_equal(res.x, ref.x)
+        assert (res.ray is None) == (first.ray is None)
+        assert res.ray is None or np.array_equal(res.ray, first.ray)
+
+
+def test_only_the_exact_route_asks_for_the_ray(monkeypatch):
+    """getDualRay costs the float route time for a ray it never reads."""
+    solve, asked = polytope.linprog, []
+
+    def spy(c, **kwargs):
+        asked.append(kwargs["ray"])
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(polytope, "linprog", spy)
+    table = Behavior.from_table(3, _witness_table(3))  # on the 2-way affine hull, so the exact route solves the LP
+    for mode in ("float", "exact"):
+        asked.clear()
+        assert not is_k_way(table, 2, mode=mode).is_member
+        assert asked == [mode == "exact"]
+    assert polytope._membership_lp(polytope._compact_lp(3, 2), np.array(table.p1)).ray is None
 
 
 def _member_weights_ok(res, table, k):
@@ -344,3 +371,40 @@ def test_helstrom_table_near_the_facet_is_a_float_non_member():
     b = single_query.induced_behavior(2, pattern, single_query.helstrom(p0, rho0, p1, rho1)[1])
     assert not is_k_way(b, 1, mode="float").is_member
     assert not is_k_way(b, 1, mode="exact").is_member
+
+
+def _verdict(behavior, k, mode):
+    try:
+        res = is_k_way(behavior, k, mode=mode)
+    except CertificationError as error:
+        return str(error)
+    return res.is_member, res.weights
+
+
+def _verdict_jobs(rng):
+    """Float and exact verdicts at N = 4, 5: dyadic mixtures of level-k
+    vertices and uniform tables at every 1 < k < N, and at N = 4, k = 3
+    dyadic tables just past the witness facet, whose exact verdicts read
+    the ray."""
+    jobs = []
+    for n in (4, 5):
+        for k in range(2, n):
+            index = fibre_index(n, k)
+            for _ in range(4):
+                w = rng.multinomial(16, [0.25] * 4) / 16
+                vertices = [rng.integers(0, 2, 2 ** k)[index[rng.integers(len(index))]] for _ in w]
+                jobs += [(n, k, w @ vertices), (n, k, rng.uniform(0, 1, 2 ** n))]
+    for inner, outer, t_star in _dyadic_segments(4):
+        jobs.append((4, 3, inner + np.ceil(t_star * 1024 + 1) / 1024 * (outer - inner)))
+    return [(Behavior.from_table(n, table), k, mode) for n, k, table in jobs for mode in ("float", "exact")]
+
+
+def test_verdicts_on_two_threads_match_the_serial_ones():
+    """HiGHS runs without the GIL, so two threads solve at the same time,
+    each on its own solvers: one solver shared by both failed here with
+    "LP solver failure: Not Set"."""
+    jobs = _verdict_jobs(np.random.default_rng(17))
+    serial = [_verdict(*job) for job in jobs]
+    assert {verdict[0] for verdict in serial} == {True, False}
+    with ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(lambda job: _verdict(*job), jobs, timeout=60)) == serial

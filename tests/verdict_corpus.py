@@ -22,7 +22,12 @@ and the same weights, to the last bit, on all 1,822 tables:
   t < 0 leaves [0, 1], and the entries are clipped into it (13 tables);
 * 42 tables at N = 7, 8, 7 of each of the first three kinds per N,
   random k < N.
+
+With --reverse it solves the tables in reverse order but hashes them in
+the order above; it then prints the same counts and digests as a forward
+run, which shows that no verdict depends on the verdicts solved before it.
 """
+import argparse
 import hashlib
 import math
 import sys
@@ -103,20 +108,24 @@ def verdict(behavior, k, mode):
     return ("member" if result.is_member else "non-member"), weights
 
 
-def main():
-    rng = np.random.default_rng(SEED)
-    counts = {mode: Counter() for mode in ("exact", "float")}
-    digests = {mode: hashlib.sha256() for mode in counts}
-    tables = 0
-    for n, k, table in corpus(rng):
-        behavior = Behavior.from_table(n, np.clip(table, 0.0, 1.0))
-        tables += 1
-        for mode in counts:
-            label, weights = verdict(behavior, k, mode)
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Digests of is_k_way's verdicts over a seeded corpus.")
+    parser.add_argument("--reverse", action="store_true", help="solve the tables in reverse order")
+    args = parser.parse_args(argv)
+    modes = ("exact", "float")
+    jobs = [(Behavior.from_table(n, np.clip(table, 0.0, 1.0)), k) for n, k, table in corpus(np.random.default_rng(SEED))]
+    order = reversed(range(len(jobs))) if args.reverse else range(len(jobs))
+    verdicts = [None] * len(jobs)
+    for i in order:
+        verdicts[i] = [verdict(*jobs[i], mode) for mode in modes]
+    counts = {mode: Counter() for mode in modes}
+    digests = {mode: hashlib.sha256() for mode in modes}
+    for pair in verdicts:
+        for mode, (label, weights) in zip(modes, pair):
             counts[mode][label] += 1
             digests[mode].update(repr((label, weights)).encode())
-    print(f"tables {tables}")
-    for mode in counts:
+    print(f"tables {len(jobs)}")
+    for mode in modes:
         summary = " ".join(f"{label} {counts[mode][label]}" for label in ("non-member", "member", "error"))
         print(f"{mode} {summary} sha256 {digests[mode].hexdigest()}")
     return 0
