@@ -29,8 +29,9 @@ class Behavior:
         if n < 1:
             raise BehaviorError("need at least one location")
         vals = [float(p) for p in p1]
-        if len(vals) != 2 ** n:
-            raise BehaviorError(f"table must have {2**n} entries, got {len(vals)}")
+        # compared by bit length first, so that a large n builds no 2^n
+        if len(vals).bit_length() != n + 1 or len(vals) != 1 << n:
+            raise BehaviorError(f"table must have 2^N entries for N = {n}, got {len(vals)}")
         clamped = []
         for p in vals:
             if not math.isfinite(p) or p < -PROB_TOL or p > 1.0 + PROB_TOL:

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 from . import grover, polytope, single_query
 from .behavior import eval_B
@@ -27,7 +28,6 @@ MAX_SCAN_ROWS = 10_000
 # where delta = 0, its top Walsh coefficient is -4.4e-16, so the exact
 # route's "false" there would be an artifact of rounding.
 MAX_N_WITNESS = 3
-VIOLATION_TOL = 1e-9  # witness: a member table with B > N - 1 + this fails the consistency check
 
 
 def _fmt(x) -> str:
@@ -109,6 +109,9 @@ def cmd_grover(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    """B of the Helstrom table (the float eval_B) and its exact (N-1)-way
+    verdict.  A member's weights rebuild the table exactly, so a member
+    whose B, summed in Fractions, exceeds N - 1 fails the consistency check."""
     if not 2 <= args.n <= MAX_N_WITNESS:
         raise ValueError(f"witness uses the exact LP path and requires 2 <= n <= {MAX_N_WITNESS}")
     phi = _resolve_phi(args)  # argparse requires --phi or --phi-deg
@@ -123,7 +126,9 @@ def cmd_witness(args) -> int:
     print(f"phi {_fmt(phi)}")
     print(f"B {_fmt(b_val)}")
     print(f"member_k{k} {'true' if result.is_member else 'false'}")
-    if b_val > args.n - 1 + VIOLATION_TOL and result.is_member:
+    p = behavior.p1
+    exact_b = -Fraction(p[0]) + sum(Fraction(p[1 << i]) for i in range(args.n))
+    if result.is_member and exact_b > args.n - 1:
         print("consistency FAILED: violation accepted by the LP", file=sys.stderr)
         return EXIT_INCONSISTENT
     return EXIT_OK

@@ -20,7 +20,8 @@ weights, the ones returned, are the proof of membership on both routes:
 they must rebuild the table and sum to 1, within FLOAT_FEAS_TOL or
 exactly.  When HiGHS finds the LP infeasible, the table rows of its dual
 ray, a Farkas certificate, give the y for which the exact route checks
-y.p > h(y); no second LP is solved.
+y.p > h(y); no second LP is solved.  The witness B's own coefficients y_B
+are the last y it tries.
 
 The vertex count and the largest witness value have closed forms
 (vertex_count, max_B_over_vertices), so nothing here lists the vertices;
@@ -51,8 +52,6 @@ MAX_N_LP = 8
 FLOAT_FEAS_TOL = 1e-8  # float weights sum to 1 and rebuild the table within this
 HIGHS_FEAS_TOL = 1e-9  # HiGHS's primal feasibility tolerance, below FLOAT_FEAS_TOL
 WEIGHT_TOL = 1e-12    # float weights at or below this are dropped
-TIGHT_TOL = 1e-9      # a simplex q_S - g_S(a) or g_S(a) at or below this reads as 0
-INTERIOR_TOL = 1e-6   # the same for an interior point, which stops short of the boundary
 
 
 @functools.cache
@@ -169,8 +168,8 @@ class PolytopeSizeError(ValueError):
 
 class CertificationError(RuntimeError):
     """No verdict checks: the exact route found neither a member point nor
-    a Farkas ray of HiGHS that separates in exact arithmetic, the float
-    weights miss the table, or HiGHS ended neither optimal nor infeasible."""
+    a y that separates in exact arithmetic (HiGHS's Farkas ray or y_B), the
+    float weights miss the table, or HiGHS ended neither optimal nor infeasible."""
 
 
 @dataclass(frozen=True, order=True)
@@ -217,14 +216,19 @@ def vertex_count(n: int, k: int) -> int:
     )
 
 
-def max_B_over_vertices(n: int, k: int) -> float:
-    """Largest witness value over all level-k vertices, h(y_B): N-1 for k < N, N for k = N."""
-    _check_size(n, k)
+def _y_B(n: int) -> list:
+    """The witness B's coefficients: -1 at 0...0, +1 at each e_i, 0 elsewhere."""
     y = [0] * 2 ** n
     y[0] = -1
     for i in range(n):
         y[1 << i] = 1
-    return float(support_function(y, fibre_index(n, k)))
+    return y
+
+
+def max_B_over_vertices(n: int, k: int) -> float:
+    """Largest witness value over all level-k vertices, h(y_B): N-1 for k < N, N for k = N."""
+    _check_size(n, k)
+    return float(support_function(_y_B(n), fibre_index(n, k)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -342,26 +346,29 @@ def _float_member(lp: _CompactLP, x, p) -> MembershipResult:
     return MembershipResult(True, weights)
 
 
-def _exact_member(lp: _CompactLP, x, p, tol) -> Optional[MembershipResult]:
+def _exact_member(lp: _CompactLP, x, p) -> Optional[MembershipResult]:
     """Fraction weights from the compact LP's equalities solved exactly on
     the support of HiGHS's point x, or None when no such point checks.
 
-    The first attempt drops the columns at or below tol and pins
-    g_S(a) = q_S where x has them within tol, which leaves fewer unknowns.
-    It fails when x is off by HiGHS's tolerance, as on the table with every
-    entry 1 - 2^-53 at N = 3, k = 2, where the simplex point has
+    The first attempt drops the columns at or below HIGHS_FEAS_TOL and pins
+    g_S(a) = q_S where x has them within it, which leaves fewer unknowns: a
+    value within HiGHS's primal feasibility tolerance of a bound is at that
+    bound for the solver that produced it.  The weights are checked
+    exactly, so a wrong pin costs only that attempt.  Pinning fails when x
+    is off by HiGHS's tolerance, as on the table with every entry
+    1 - 2^-53 at N = 3, k = 2, where the simplex point has
     g_S = q_S = 1 - 2^-52 on one subset; the second attempt keeps every
     positive column and pins nothing.
     """
     c, m = len(lp.subsets), 2 ** len(lp.subsets[0])
     cm = c * m
     for pin in (True, False):
-        support = set(np.flatnonzero(x > (tol if pin else 0)).tolist())
+        support = set(np.flatnonzero(x > (HIGHS_FEAS_TOL if pin else 0)).tolist())
         # the unknown each support column stands for: a pinned g_S(a) is q_S
         alias = {}
         for j in support:
             q_col = cm + j // m
-            pinned = pin and j < cm and q_col in support and x[q_col] - x[j] <= tol
+            pinned = pin and j < cm and q_col in support and x[q_col] - x[j] <= HIGHS_FEAS_TOL
             alias[j] = q_col if pinned else j
         unknowns = sorted(set(alias.values()))
         position = {u: i for i, u in enumerate(unknowns)}
@@ -373,7 +380,7 @@ def _exact_member(lp: _CompactLP, x, p, tol) -> Optional[MembershipResult]:
                 if j in column:
                     row[column[j]] = row.get(column[j], 0) + 1
             rows.append(row)
-        guess = [x[u] if x[u] > tol else 0.0 for u in unknowns]
+        guess = [x[u] if x[u] > HIGHS_FEAS_TOL else 0.0 for u in unknowns]
         z = solve(rows, list(p) + [1], guess)
         if z is None:
             continue
@@ -423,10 +430,14 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
        polytope's affine hull, a non-member (no LP is solved);
     2. a member gets Fraction weights from the LP equalities solved exactly
        on the support of HiGHS's simplex point, or failing that of an
-       interior point: the staircase weights of that solution, checked
-       nonnegative, summing to 1 and rebuilding the table exactly;
-    3. when the last of those LPs is infeasible, the table rows of HiGHS's
-       dual ray (a Farkas certificate) are a y, and y.p > h(y) is checked.
+       interior point, each read at HIGHS_FEAS_TOL (see _exact_member):
+       the staircase weights of that solution, checked nonnegative,
+       summing to 1 and rebuilding the table exactly;
+    3. when the simplex LP is infeasible, the table rows of HiGHS's dual
+       ray (a Farkas certificate) are a y, and y.p > h(y) is checked;
+    4. failing all of these, y = y_B, the witness B's coefficients, is
+       checked the same way: it proves the tables just past the facet
+       B = N - 1 that HiGHS finds feasible within its tolerance.
     If no certificate checks, it raises CertificationError.  That happens
     to tables within rounding of the boundary, whose exact value may fall
     on either side.  A mixture of vertices computed in floating point is
@@ -455,12 +466,14 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
     if mode == "float":
         return _float_member(lp, res.x, p_float) if res.status == 0 else MembershipResult(False, None)
     if res.status == 0:
-        member = _exact_member(lp, res.x, p, TIGHT_TOL)
+        member = _exact_member(lp, res.x, p)
         if member is None:
-            res = _membership_lp(lp, p_float, interior=True, ray=True)
-            member = _exact_member(lp, res.x, p, INTERIOR_TOL) if res.status == 0 else None
+            res = _membership_lp(lp, p_float, interior=True)
+            member = _exact_member(lp, res.x, p) if res.status == 0 else None
         if member is not None:
             return member
     if res.ray is not None and separates(res.ray.tolist(), p, lp.index):
+        return MembershipResult(False, None)
+    if separates(_y_B(n), p, lp.index):
         return MembershipResult(False, None)
     raise CertificationError(f"no exact certificate for N={n}, k={k}: the table may lie on the polytope's boundary")

@@ -1,7 +1,8 @@
 """A fixed list of command lines, run through kway.cli.main in process.
 
-Not a test module: pytest does not collect it.  Run it from the root of
-the repository with
+Not a test module: pytest does not collect it, but tests/test_corpora.py
+runs it in process and checks the digests recorded there.  Run it from
+the root of the repository with
 
     PYTHONPATH=src python tests/cli_corpus.py
 

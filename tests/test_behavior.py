@@ -3,6 +3,8 @@ import pytest
 from oracles import win_prob_game1, win_prob_game2
 
 from kway.behavior import Behavior, BehaviorError, classical_win_bound, eval_B
+from kway.exactlp import support_function
+from kway.polytope import MAX_N_LP, fibre_index
 
 PERFECT_N2 = Behavior.from_table(2, [0.0, 1.0, 1.0, 0.0])
 
@@ -15,6 +17,10 @@ class TestBehaviorConstruction:
     def test_table_size_checked(self):
         with pytest.raises(BehaviorError):
             Behavior.from_table(2, [0.1, 0.2, 0.3])
+        # 2^N is neither built nor printed: from N = 14,285 printing it raised a
+        # plain ValueError (the int digit limit), after 1.5 s at N = 10^8
+        with pytest.raises(BehaviorError, match="2\\^N entries for N = 1000000000, got 3"):
+            Behavior.from_table(10 ** 9, [0.1, 0.2, 0.3])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(BehaviorError):
@@ -98,3 +104,17 @@ class TestClassicalBound:
             mask = (1 << k) - 1
             table = [1.0 if (x & mask) else 0.0 for x in range(2 ** n)]
             assert win_prob_game2(Behavior.from_table(n, table)) == pytest.approx(bound)
+
+    @pytest.mark.parametrize("n", range(1, MAX_N_LP + 1))
+    def test_is_the_polytope_support_at_the_game_witness(self, n):
+        """The game's winning probability is (1 + y.p/N)/2, with y = -N at
+        0...0 and +1 at each e_i, so its best over the k-way polytope is
+        (1 + h(y)/N)/2, with h the exact support function."""
+        y = [0] * 2 ** n
+        y[0] = -n
+        for i in range(n):
+            y[1 << i] = 1
+        for k in range(1, n + 1):
+            h = support_function(y, fibre_index(n, k))
+            assert h == k
+            assert classical_win_bound(n, k) == (1 + float(h) / n) / 2

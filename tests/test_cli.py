@@ -236,6 +236,14 @@ class TestWitnessCommand:
         assert code == 0
         assert out.splitlines()[2:] == ["B 2.00000000662", "member_k2 false"]
 
+    def test_a_member_verdict_past_the_bound_fails_exactly(self, capsys, monkeypatch):
+        # B - 2 = 4.1e-10, which a float check with a 1e-9 margin let through
+        monkeypatch.setattr(polytope, "is_k_way", lambda *args, **kwargs: polytope.MembershipResult(True, {}))
+        code, out, err = run(capsys, "witness", "--n", "3", "--phi", "0.00006103515625")
+        assert code == 1
+        assert out.splitlines()[2:] == ["B 2.00000000041", "member_k2 true"]
+        assert err == "consistency FAILED: violation accepted by the LP\n"
+
     def test_guards(self, capsys):
         assert run(capsys, "witness", "--n", "4", "--phi", "1.0")[0] == 2
         assert run(capsys, "witness", "--n", "3")[0] == 2  # phi required

@@ -1,0 +1,23 @@
+"""The two digest corpora, run in process, against their recorded digests.
+
+A change that moves a digest on purpose records the new line here and says
+why in CHANGES.md.
+"""
+import cli_corpus
+import verdict_corpus
+
+CLI = "1090 6a3996fd1cdc96f02bc3a56ddd25653dcfb8715920ad8815fbca8d0a30c379c7"
+VERDICTS = [
+    "tables 1822",
+    "exact non-member 1326 member 482 error 14 sha256 3c227f40e1ae6ad980fa6d5a8fd87a3b1d454ab06e10b45d7899e9f92ed76ea5",
+    "float non-member 1102 member 720 error 0 sha256 e4fd5db9c698711028e680ca8c2096b514d3882891f6b3da49e3cbb199b8c44e",
+]
+
+
+def test_cli_and_reversed_verdict_corpora_print_the_recorded_digests(capsys):
+    """The verdicts are solved in reverse order and hashed in forward order,
+    so matching the recorded digests shows both the same output and that no
+    verdict depends on the ones solved before it."""
+    assert cli_corpus.main([]) == 0
+    assert verdict_corpus.main(["--reverse"]) == 0
+    assert capsys.readouterr().out.splitlines() == [CLI, *VERDICTS]

@@ -327,6 +327,16 @@ def _dyadic_segments(n):
         yield inner, outer, (n - 1 - b_inner) / (n - b_inner)
 
 
+def _rebuilds_exactly(weights, behavior):
+    """Positive Fraction weights that sum to 1 and mix their vertices into the table exactly."""
+    n = behavior.n_locations
+    mix = [Fraction(0)] * 2 ** n
+    for v, w in weights.items():
+        mix = [m + w * bit for m, bit in zip(mix, vertex_table(v, n))]
+    positive = all(w > 0 for w in weights.values())
+    return positive and sum(weights.values()) == 1 and mix == [Fraction(p) for p in behavior.p1]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_exact_route_matches_the_vertex_lp_on_dyadic_tables(n):
     """Dyadic members and dyadic points near the witness facet, on the affine
@@ -338,29 +348,47 @@ def test_exact_route_matches_the_vertex_lp_on_dyadic_tables(n):
             b = Behavior.from_table(n, inner + t * (outer - inner))
             res = is_k_way(b, k, mode="exact")
             assert res.is_member == vertex_lp_member(b, k), (t, t_star)
-            if res.is_member:
-                assert sum(res.weights.values()) == 1
-                mix = [Fraction(0)] * 2 ** n
-                for v, w in res.weights.items():
-                    mix = [m + w * bit for m, bit in zip(mix, vertex_table(v, n))]
-                assert mix == [Fraction(p) for p in b.p1]
+            assert not res.is_member or _rebuilds_exactly(res.weights, b)
             verdicts.append(res.is_member)
     assert 8 < sum(verdicts) < 24
 
 
-@pytest.mark.parametrize("j", [24, 27, 30])
+@pytest.mark.parametrize("j", [24, 27, 30, 34, 38, 42])
 def test_dyadic_tables_just_past_the_witness_facet_are_non_members(j):
     """B exceeds N - 1 by about 2^-j.  At HiGHS's default primal tolerance,
     1e-7, both routes raised CertificationError on all eight tables at
-    j = 27, and the float route called them members at j = 30."""
+    j = 27, and the float route called them members at j = 30.  From
+    j = 34 HiGHS finds the LP feasible within HIGHS_FEAS_TOL, so there is
+    no Farkas ray: the exact route, which raised CertificationError there,
+    proves them non-members with y_B, and the float route calls them
+    members within FLOAT_FEAS_TOL, as it may."""
     n = 3
     for inner, outer, t_star in _dyadic_segments(n):
         t = np.ceil(t_star * 2.0 ** j + 1) / 2.0 ** j
         b = Behavior.from_table(n, inner + t * (outer - inner))
         p = [Fraction(v) for v in b.p1]
         assert -p[0] + sum(p[1 << i] for i in range(n)) > n - 1
-        for mode in ("exact", "float"):
+        for mode in ("exact", "float") if j <= 30 else ("exact",):
             assert not is_k_way(b, n - 1, mode=mode).is_member
+
+
+def test_the_interior_point_certifies_a_member_the_simplex_point_does_not(monkeypatch):
+    """A float mixture at N = 3, k = 2 (table 138 of tests/verdict_corpus.py)
+    on the affine hull: no exact point lies on the support of HiGHS's
+    simplex point, pinned or not, and one lies on the interior point's."""
+    table = Behavior.from_table(3, [float.fromhex(h) for h in (
+        "0x1.67e9187543c0ep-1", "0x1.469fa33de947dp-1", "0x1.53e5b7630caecp-2", "0x1.1152ccf457bc9p-2",
+        "0x1.77569985d421bp-1", "0x1.560d244e79a8ap-1", "0x1.53e5b7630caecp-2", "0x1.1152ccf457bc9p-2")])
+    solve, methods = polytope.linprog, []
+
+    def spy(c, **kwargs):
+        methods.append("interior" if kwargs["interior"] else "simplex")
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(polytope, "linprog", spy)
+    res = is_k_way(table, 2, mode="exact")
+    assert methods == ["simplex", "interior"]
+    assert res.is_member and _rebuilds_exactly(res.weights, table)
 
 
 def test_helstrom_table_near_the_facet_is_a_float_non_member():

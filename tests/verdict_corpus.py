@@ -1,7 +1,8 @@
 """A seeded corpus of tables, run through both routes of is_k_way.
 
-Not a test module: pytest does not collect it.  Run it from the root of
-the repository with
+Not a test module: pytest does not collect it, but tests/test_corpora.py
+runs it with --reverse in process and checks the digests recorded there.
+Run it from the root of the repository with
 
     PYTHONPATH=src python tests/verdict_corpus.py
 
