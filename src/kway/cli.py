@@ -47,7 +47,7 @@ def _emit(rows, header, fmt: str, out):
             for row in rows
         ]
         text = json.dumps(objs, indent=2) + "\n"
-    if out:
+    if out is not None:
         try:
             with open(out, "w", newline="\n") as fh:
                 fh.write(text)

@@ -235,6 +235,7 @@ def max_B_over_vertices(n: int, k: int) -> float:
 def fibre_index(n: int, k: int) -> np.ndarray:
     """index[s, x] = x_S for the s-th k-subset S in lexicographic order,
     its first location as the least significant bit."""
+    _check_size(n, k)
     xs = np.arange(2 ** n)
     rows = [
         sum(((xs >> (loc - 1)) & 1) << pos for pos, loc in enumerate(locs))

@@ -42,7 +42,7 @@ from .linalg import eigh, eigvalsh
 
 ZERO_EIG_TOL = 1e-10  # helstrom assigns gap eigenvalues at or below this to pi0
 # build_discrimination_pair allocates N x N complex operators (16 N^2 bytes
-# each).
+# each), and delta_numeric a G x G block for G distinct phases.
 MAX_N_DENSE = 2048
 # delta_numeric holds O(runs) values and the half/half pattern two runs at
 # any N; the cap keeps the range of N that `violation` and `scan` accept.
@@ -168,6 +168,8 @@ def delta_numeric(n: int, pattern: PhasePattern) -> float:
     groups = {}
     for p, m in pattern.runs:
         groups[p] = groups.get(p, 0) + m
+    if len(groups) > MAX_N_DENSE:
+        raise ValueError(f"phase-group block capped at G={MAX_N_DENSE} distinct phases")
     phases = sorted(groups)  # ascending, so the block does not depend on the order of the runs
     z = [complex(math.cos(p), math.sin(p)) for p in phases]
     root_m = [math.sqrt(groups[p]) for p in phases]

@@ -171,6 +171,12 @@ class TestPolytopeCommand:
         code, out, _ = run(capsys, "polytope", "--n", str(polytope.MAX_N_LP), "--k", "3")
         assert code == 0 and "max_B 7\n" in out
 
+    def test_a_vertex_bound_off_n_minus_1_fails_the_consistency_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(polytope, "max_B_over_vertices", lambda n, k: float(n))
+        code, out, err = run(capsys, "polytope", "--n", "3", "--k", "2")
+        assert code == 1 and "max_B 3\nexpected 2\n" in out
+        assert err == "consistency FAILED: vertex bound does not match\n"
+
 
 class TestGroverCommand:
     def test_n4_curve(self, capsys):
@@ -303,9 +309,10 @@ def test_library_errors_map_to_exit_codes(capsys, monkeypatch, error, code):
 
 
 def test_unwritable_out_file_is_usage_error(capsys, tmp_path):
-    code, out, err = run(capsys, "violation", "--n", "4", "--out", str(tmp_path / "missing" / "row.csv"))
-    assert code == 2 and out == ""
-    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    for path in (str(tmp_path / "missing" / "row.csv"), ""):  # an empty path names no file, not stdout
+        code, out, err = run(capsys, "violation", "--n", "4", "--out", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_argv_fuzz_exits_cleanly(capsys, tmp_path):

@@ -173,13 +173,16 @@ def test_float_rounded_dirichlet_mixture_is_a_certified_non_member():
     assert rejected >= 10
 
 
+class Junk:
+    """An optimal status with the zero point, which no weights rebuild."""
+
+    status, message, ray = 0, "junk", None
+
+    def __init__(self, cols):
+        self.x = np.zeros(cols)
+
+
 def test_uncertified_verdict_raises_and_exits_1(capsys, monkeypatch):
-    class Junk:
-        status, message, ray = 0, "junk", None
-
-        def __init__(self, cols):
-            self.x = np.zeros(cols)
-
     monkeypatch.setattr(polytope, "linprog", lambda c, **kwargs: Junk(len(c)))
     b = Behavior.from_table(2, [0.5] * 4)
     with pytest.raises(CertificationError):
@@ -187,6 +190,17 @@ def test_uncertified_verdict_raises_and_exits_1(capsys, monkeypatch):
     assert main(["witness", "--n", "3", "--phi", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: no exact certificate") and err.count("\n") == 1
+
+
+def test_float_weights_that_miss_the_table_raise(monkeypatch):
+    monkeypatch.setattr(polytope, "linprog", lambda c, **kwargs: Junk(len(c)))
+    with pytest.raises(CertificationError, match="LP weights miss the table by 1$"):
+        is_k_way(Behavior.from_table(2, [0.5] * 4), 1, mode="float")
+
+
+def test_unknown_mode_raises():
+    with pytest.raises(ValueError, match="unknown mode 'fast'"):
+        is_k_way(Behavior.from_table(2, [0.5] * 4), 1, mode="fast")
 
 
 def test_solver_failure_raises_and_exits_1(capsys, monkeypatch):

@@ -92,6 +92,8 @@ class TestVertexCount:
             vertex_count(MAX_N_LP + 1, 2)
         with pytest.raises(PolytopeSizeError):
             vertex_count(3, 4)
+        with pytest.raises(PolytopeSizeError):
+            fibre_index(MAX_N_LP + 1, 2)
 
 
 class TestMaxB:
@@ -192,6 +194,22 @@ def _run_with_kway(code):
 def test_importing_kway_imports_no_scipy():
     code = "import sys, kway, kway.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     assert _run_with_kway(code) == "[]\n"
+
+
+def test_import_kway_loads_no_submodule_and_the_cli_binds_every_layer():
+    """The package re-exports nothing, the scalar modules load no numpy, and
+    `import kway, kway.cli` binds the seven modules benchmark/tracer.py wraps."""
+    code = """if True:
+        import sys
+        import kway
+        print(sorted(m for m in sys.modules if m.startswith(("kway.", "numpy"))))
+        import kway.behavior, kway.grover, kway.exactlp
+        print("numpy" in sys.modules)
+        import kway.cli
+        layers = ("behavior", "linalg", "exactlp", "polytope", "single_query", "grover", "cli")
+        print([layer for layer in layers if not hasattr(kway, layer)])
+    """
+    assert _run_with_kway(code).splitlines() == ["[]", "False", "[]"]
 
 
 def test_a_verdict_loads_only_the_highs_extension():

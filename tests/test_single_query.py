@@ -12,6 +12,7 @@ from oracles import (
     uniform_state,
 )
 
+from kway import single_query
 from kway.behavior import eval_B
 from kway.polytope import is_k_way
 from kway.single_query import (
@@ -314,6 +315,16 @@ class TestDeltaNumeric:
             delta_numeric(1, PhasePattern((PI,)))
         with pytest.raises(ValueError):
             delta_numeric(3, PhasePattern((PI, PI)))
+
+    def test_group_block_cap_raises_before_the_block_is_built(self, monkeypatch):
+        def unreachable(a):
+            raise AssertionError("the G x G block reached the eigensolver")
+
+        monkeypatch.setattr(single_query, "eigvalsh", unreachable)
+        n = MAX_N_DENSE + 1
+        pattern = PhasePattern(tuple(-PI + 2 * PI * (j + 1) / n for j in range(n)))
+        with pytest.raises(ValueError, match=f"capped at G={MAX_N_DENSE}"):
+            delta_numeric(n, pattern)
 
     def test_nonnegative_on_random_patterns(self):
         rng = np.random.default_rng(8)
