@@ -9,8 +9,8 @@ Membership is decided in the marginal form of local-polytope LPs (Brunner
 et al., Rev. Mod. Phys. 86, 419, 2014, Sec. II).  The functions on one
 subset S fill the cube [0, 1]^{2^k}, so a table is k-way iff
 P(1|x) = sum_S g_S(x_S) with 0 <= g_S(a) <= q_S, q_S >= 0 and sum_S q_S = 1.
-That LP has C(N,k)(2^k + 1) columns.  Its sparse matrices are built once
-per (N, k), column by column, and HiGHS (Huangfu and Hall, Math. Prog.
+That LP has C(N,k)(2^k + 1) columns.  The model is built once per (N, k);
+each LP passes only the table.  HiGHS (Huangfu and Hall, Math. Prog.
 Comp. 10, 2018) solves it through scipy's compiled extension, called
 directly through the one seam `linprog`.  Each thread reuses its own
 solvers, and passModel discards the previous model's state, so results
@@ -86,8 +86,10 @@ class _LPResult(NamedTuple):
 
 
 class _DirectHighs:
-    """One LP by HiGHS: minimize c.x subject to row_lower <= A x <= row_upper
-    and col_lower <= x <= col_upper, with A a _Csc matrix.
+    """The membership LP of a table p by HiGHS: a vertex of the feasible set
+    by dual simplex, or with interior=True a point inside it, by the
+    interior-point method without crossover.  The model is built once per
+    (N, k); each LP passes only the table, as the bounds of its rows.
 
     Every LP of this module goes through the instance `linprog`: tests
     substitute fakes there, and benchmark/tracer.py times it as a layer of
@@ -111,12 +113,14 @@ class _DirectHighs:
     accepted tables near the boundary whose float weights then missed
     them, and found no infeasibility, hence no ray, for non-members within
     1e-7 of the polytope.  With ray=True an infeasible simplex returns its
-    dual ray; the interior-point method without crossover returns none.
+    dual ray's entries on the table rows, the y that separates checks; the
+    interior-point method without crossover returns none.  Only the exact
+    route asks for it.
 
     The model goes in through passModel's flat overload, which takes the
-    cached numpy arrays as buffers, not element by element.  Its
-    integrality holds a zero per column: an empty one makes passModel
-    fail, and HiGHS then reports the model empty.
+    cached numpy arrays as buffers, not element by element.  A model that
+    passModel rejects, such as one with a NaN bound, is not run: HiGHS
+    would still solve it and report a status.
     """
 
     def __init__(self):
@@ -135,16 +139,20 @@ class _DirectHighs:
             highs.setOptionValue("run_crossover", "off")
         return highs
 
-    def __call__(self, c, *, matrix, row_lower, row_upper, col_lower, col_upper, interior=False, ray=False) -> _LPResult:
+    def __call__(self, lp, p, *, interior=False, ray=False) -> _LPResult:
         core = _highs()
         method = "ipm" if interior else "simplex"
         highs = getattr(self._threads, method, None)
         if highs is None:
             highs = self._solver(interior)
             setattr(self._threads, method, highs)
-        highs.passModel(len(c), matrix.num_row, len(matrix.value), core.MatrixFormat.kColwise,
-                        core.ObjSense.kMinimize, 0.0, c, col_lower, col_upper, row_lower, row_upper,
-                        matrix.start, matrix.index, matrix.value, np.zeros(len(c), np.int32))
+        row_lower = np.concatenate([-lp.infinity[:lp.cells], p, [1.0]])
+        row_upper = np.concatenate([lp.zeros[:lp.cells], p, [1.0]])
+        status = highs.passModel(len(lp.zeros), len(row_lower), len(lp.value), core.MatrixFormat.kColwise,
+                                 core.ObjSense.kMinimize, 0.0, lp.zeros, lp.zeros, lp.infinity, row_lower,
+                                 row_upper, lp.start, lp.row_index, lp.value, lp.integrality)
+        if status == core.HighsStatus.kError:
+            return _LPResult(4, "HiGHS rejected the model", None)
         highs.run()
         status = highs.getModelStatus()
         message = highs.modelStatusToString(status)
@@ -154,7 +162,7 @@ class _DirectHighs:
             if ray:
                 _, has_ray, dual_ray = highs.getDualRay()
                 if has_ray:
-                    return _LPResult(2, message, None, np.array(dual_ray))
+                    return _LPResult(2, message, None, np.array(dual_ray)[lp.cells:lp.cells + len(p)])
             return _LPResult(2, message, None)
         return _LPResult(4, message, None)
 
@@ -246,40 +254,27 @@ def fibre_index(n: int, k: int) -> np.ndarray:
     return index
 
 
-class _Csc(NamedTuple):
-    """A sparse matrix column by column, as HiGHS takes it: column j holds
-    value[start[j]:start[j + 1]] in rows index[start[j]:start[j + 1]]."""
-
-    num_row: int
-    start: np.ndarray
-    index: np.ndarray
-    value: np.ndarray
-
-
-def _csc(rows, cols, vals, shape) -> _Csc:
-    """The CSC form of the entries (rows[i], cols[i], vals[i]), each given
-    once, with the rows sorted within each column."""
-    rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
-    order = np.lexsort((rows, cols))
-    start = np.zeros(shape[1] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=shape[1]), out=start[1:])
-    matrix = _Csc(shape[0], start, rows[order].astype(np.int32), vals[order].astype(float))
-    for array in matrix[1:]:
-        array.setflags(write=False)   # cached per (N, k) and shared by every call
-    return matrix
-
-
 @dataclass(frozen=True)
 class _CompactLP:
-    """The membership LP for one (N, k), as a CSC matrix.
+    """The membership LP for one (N, k), as HiGHS's passModel takes it.
 
-    Columns: g_S(a) at s 2^k + a, then q_S at C 2^k + s.
+    Columns: g_S(a) at s 2^k + a, then q_S at C 2^k + s, all >= 0 at zero
+    cost.  Rows: g_S(a) - q_S <= 0 at s 2^k + a, then sum_S g_S(x_S) = p(x)
+    for each x, then sum_S q_S = 1.  Column j holds value[start[j]:start[j + 1]]
+    in rows row_index[start[j]:start[j + 1]], in ascending order.  Every
+    array is read-only: it is cached and shared by every LP of (N, k).
     """
 
     subsets: tuple
-    index: np.ndarray
-    g_cols: np.ndarray    # g_cols[s, x]: the column of g_S(x_S)
-    member: _Csc          # g_S(a) - q_S <= 0, then sum_S g_S(x_S) = p(x) for each x, then sum_S q_S = 1
+    index: np.ndarray        # fibre_index(n, k)
+    cells: int               # the g - q rows, C 2^k
+    start: np.ndarray
+    row_index: np.ndarray
+    value: np.ndarray
+    zeros: np.ndarray        # the costs and the lower bounds
+    infinity: np.ndarray     # the upper bounds
+    integrality: np.ndarray  # all continuous: an empty one makes passModel fail
+    equalities: tuple        # the columns in each table row, then in the last row
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,18 +282,20 @@ def _compact_lp(n: int, k: int) -> _CompactLP:
     index = fibre_index(n, k)
     c, m, size = index.shape[0], 2 ** k, 2 ** n
     cm = c * m
-    g_cols = np.arange(c)[:, None] * m + index
-    g_col = g_cols.ravel()
-    xs = np.tile(np.arange(size), c)
     cells = np.arange(cm)
-    member = _csc(
-        [cells, cells, cm + xs, np.full(c, cm + size)],
-        [cells, cm + cells // m, g_col, cm + np.arange(c)],
-        [np.ones(cm), -np.ones(cm), np.ones(c * size), np.ones(c)],
-        (cm + size + 1, cm + c),
-    )
-    subsets = tuple(combinations(range(1, n + 1), k))
-    return _CompactLP(subsets, index, g_cols, member)
+    # g_S(a): its own g - q row, then the table rows x with x_S = a; q_S: its
+    # subset's g - q rows, then the last row
+    g_rows = np.hstack([cells[:, None], cm + np.argsort(index, kind="stable").reshape(cm, -1)])
+    q_rows = np.hstack([cells.reshape(c, m), np.full((c, 1), cm + size)])
+    arrays = (np.cumsum([0] + [g_rows.shape[1]] * cm + [m + 1] * c, dtype=np.int32),
+              np.concatenate([g_rows.ravel(), q_rows.ravel()]).astype(np.int32),
+              np.concatenate([np.ones(g_rows.size), np.tile([-1.0] * m + [1.0], c)]),
+              np.zeros(cm + c), np.full(cm + c, np.inf), np.zeros(cm + c, np.int32))
+    for array in arrays:
+        array.setflags(write=False)
+    g_cols = np.arange(c)[:, None] * m + index
+    equalities = tuple(map(tuple, g_cols.T.tolist())) + (tuple(range(cm, cm + c)),)
+    return _CompactLP(tuple(combinations(range(1, n + 1), k)), index, cm, *arrays, equalities)
 
 
 # Staircase vertices recur from call to call; one shared object per label
@@ -375,7 +372,7 @@ def _exact_member(lp: _CompactLP, x, p) -> Optional[MembershipResult]:
         position = {u: i for i, u in enumerate(unknowns)}
         column = {j: position[u] for j, u in alias.items()}
         rows = []
-        for cells in lp.g_cols.T.tolist() + [range(cm, cm + c)]:
+        for cells in lp.equalities:
             row = {}
             for j in cells:
                 if j in column:
@@ -395,20 +392,12 @@ def _exact_member(lp: _CompactLP, x, p) -> Optional[MembershipResult]:
 
 
 def _membership_lp(lp: _CompactLP, p_float, interior=False, ray=False):
-    """HiGHS on the compact LP: a vertex of the feasible set by dual simplex,
-    or with interior=True a point inside it, by the interior-point method
-    without crossover.  With ray=True an infeasible simplex result keeps
-    its dual ray's entries on the table rows only: the y that separates
-    checks.  Only the exact route reads it."""
-    cols = len(lp.member.start) - 1
-    cells = cols - len(lp.subsets)
-    res = linprog(np.zeros(cols), matrix=lp.member, interior=interior, ray=ray,
-                  row_lower=np.concatenate([np.full(cells, -np.inf), p_float, [1.0]]),
-                  row_upper=np.concatenate([np.zeros(cells), p_float, [1.0]]),
-                  col_lower=np.zeros(cols), col_upper=np.full(cols, np.inf))
+    """linprog's result for the table p_float, or CertificationError when
+    HiGHS ends neither optimal nor infeasible."""
+    res = linprog(lp, p_float, interior=interior, ray=ray)
     if res.status not in (0, 2):
         raise CertificationError(f"LP solver failure: {res.message}")
-    return res if res.ray is None else res._replace(ray=res.ray[cells:cells + len(p_float)])
+    return res
 
 
 def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult:

@@ -183,7 +183,7 @@ class Junk:
 
 
 def test_uncertified_verdict_raises_and_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(polytope, "linprog", lambda c, **kwargs: Junk(len(c)))
+    monkeypatch.setattr(polytope, "linprog", lambda lp, p, **kwargs: Junk(len(lp.zeros)))
     b = Behavior.from_table(2, [0.5] * 4)
     with pytest.raises(CertificationError):
         is_k_way(b, 1, mode="exact")
@@ -193,7 +193,7 @@ def test_uncertified_verdict_raises_and_exits_1(capsys, monkeypatch):
 
 
 def test_float_weights_that_miss_the_table_raise(monkeypatch):
-    monkeypatch.setattr(polytope, "linprog", lambda c, **kwargs: Junk(len(c)))
+    monkeypatch.setattr(polytope, "linprog", lambda lp, p, **kwargs: Junk(len(lp.zeros)))
     with pytest.raises(CertificationError, match="LP weights miss the table by 1$"):
         is_k_way(Behavior.from_table(2, [0.5] * 4), 1, mode="float")
 
@@ -207,7 +207,7 @@ def test_solver_failure_raises_and_exits_1(capsys, monkeypatch):
     class Failed:
         status, message, x = 4, "Time limit reached", None
 
-    monkeypatch.setattr(polytope, "linprog", lambda c, **kwargs: Failed())
+    monkeypatch.setattr(polytope, "linprog", lambda lp, p, **kwargs: Failed())
     b = Behavior.from_table(2, [0.5] * 4)
     for mode in ("exact", "float"):
         with pytest.raises(CertificationError, match="LP solver failure: Time limit reached"):
@@ -215,3 +215,11 @@ def test_solver_failure_raises_and_exits_1(capsys, monkeypatch):
     assert main(["witness", "--n", "3", "--phi", "0"]) == 1
     err = capsys.readouterr().err
     assert err == "error: LP solver failure: Time limit reached\n"
+
+
+def test_a_model_that_highs_rejects_is_a_solver_failure():
+    """A NaN table, built without from_table's checks, makes passModel
+    reject the model; HiGHS would still run it and report it optimal."""
+    b = Behavior(3, (float("nan"),) * 8)
+    with pytest.raises(CertificationError, match="^LP solver failure: HiGHS rejected the model$"):
+        is_k_way(b, 1, mode="float")

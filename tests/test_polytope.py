@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from oracles import (
     VERTEX_LP_TOL,
+    _compact_matrices,
     enumerate_vertices,
     linprog_membership,
     vertex_lp_member,
@@ -240,6 +241,26 @@ def _lp_tables(n, k, rng):
     return [member, outer, (member + outer) / 2]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_cached_model_is_the_compact_lp(n):
+    """The matrix passModel takes is the oracle's, entry for entry, with the
+    rows of each column in ascending order, and nothing cached is writable."""
+    for k in range(1, n + 1):
+        lp = polytope._compact_lp(n, k)
+        expected = np.vstack(_compact_matrices(n, k))
+        dense = np.zeros(expected.shape)
+        for j in range(expected.shape[1]):
+            rows = lp.row_index[lp.start[j]:lp.start[j + 1]]
+            assert np.all(np.diff(rows) > 0)
+            dense[rows, j] = lp.value[lp.start[j]:lp.start[j + 1]]
+        assert lp.start[-1] == len(lp.row_index) == len(lp.value)
+        assert np.array_equal(dense, expected)
+        cached = (lp.index, lp.start, lp.row_index, lp.value, lp.zeros, lp.infinity, lp.integrality)
+        assert not any(array.flags.writeable for array in cached)
+        assert isinstance(lp.equalities, tuple) and all(isinstance(row, tuple) for row in lp.equalities)
+        assert [list(row) for row in lp.equalities] == [np.flatnonzero(row).tolist() for row in expected[lp.cells:]]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_highs_called_directly_matches_scipy_linprog(n):
     """Same status and bit-identical points as scipy.optimize.linprog, on the
@@ -272,9 +293,9 @@ def test_only_the_exact_route_asks_for_the_ray(monkeypatch):
     """getDualRay costs the float route time for a ray it never reads."""
     solve, asked = polytope.linprog, []
 
-    def spy(c, **kwargs):
+    def spy(lp, p, **kwargs):
         asked.append(kwargs["ray"])
-        return solve(c, **kwargs)
+        return solve(lp, p, **kwargs)
 
     monkeypatch.setattr(polytope, "linprog", spy)
     table = Behavior.from_table(3, _witness_table(3))  # on the 2-way affine hull, so the exact route solves the LP
@@ -399,9 +420,9 @@ def test_the_interior_point_certifies_a_member_the_simplex_point_does_not(monkey
         "0x1.77569985d421bp-1", "0x1.560d244e79a8ap-1", "0x1.53e5b7630caecp-2", "0x1.1152ccf457bc9p-2")])
     solve, methods = polytope.linprog, []
 
-    def spy(c, **kwargs):
+    def spy(lp, p, **kwargs):
         methods.append("interior" if kwargs["interior"] else "simplex")
-        return solve(c, **kwargs)
+        return solve(lp, p, **kwargs)
 
     monkeypatch.setattr(polytope, "linprog", spy)
     res = is_k_way(table, 2, mode="exact")

@@ -27,8 +27,16 @@ and the same weights, to the last bit, on all 1,822 tables:
 With --reverse it solves the tables in reverse order but hashes them in
 the order above; it then prints the same counts and digests as a forward
 run, which shows that no verdict depends on the verdicts solved before it.
+
+With --rungs it also prints which certificate decided each exact verdict:
+members by the LP method and the attempt of polytope._exact_member that
+certified them (simplex or interior, pinned or unpinned), non-members by
+Walsh coefficient, Farkas ray or y_B, and the errors.  It reads them off
+the calls is_k_way makes to polytope.linprog, polytope.solve and
+polytope.separates, which it wraps while the corpus runs.
 """
 import argparse
+import contextlib
 import hashlib
 import math
 import sys
@@ -36,12 +44,13 @@ from collections import Counter
 
 import numpy as np
 
-from kway import single_query
+from kway import polytope, single_query
 from kway.behavior import Behavior, eval_B
 from kway.polytope import CertificationError, fibre_index, is_k_way
 
 SEED = 20261018
 KINDS = ("float", "dyadic", "uniform")
+RUNGS = ("simplex-pinned", "simplex-unpinned", "interior-pinned", "interior-unpinned", "walsh", "ray", "y_B", "error")
 
 
 def random_vertex(rng, n, k):
@@ -109,16 +118,63 @@ def verdict(behavior, k, mode):
     return ("member" if result.is_member else "non-member"), weights
 
 
+class Calls:
+    """The calls is_k_way makes to polytope.linprog, solve and separates,
+    as (name, keyword arguments, result), while installed."""
+
+    NAMES = ("linprog", "solve", "separates")
+
+    def __init__(self):
+        self.log = []
+
+    def __enter__(self):
+        self.saved = {name: getattr(polytope, name) for name in self.NAMES}
+        for name, function in self.saved.items():
+            setattr(polytope, name, self.wrap(name, function))
+        return self
+
+    def __exit__(self, *exc):
+        for name, function in self.saved.items():
+            setattr(polytope, name, function)
+
+    def wrap(self, name, function):
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            self.log.append((name, kwargs, result))
+            return result
+        return wrapper
+
+
+def rung(log, label):
+    """The certificate that decided one exact verdict, from its calls."""
+    if label == "error":
+        return label
+    lps = [i for i, (name, _, _) in enumerate(log) if name == "linprog"]
+    if not lps:
+        return "walsh"
+    _, kwargs, res = log[lps[-1]]
+    after = [name for name, _, _ in log[lps[-1] + 1:]]
+    if label == "member":  # the last exact solve is the attempt that certified it
+        return f"{'interior' if kwargs['interior'] else 'simplex'}-{('pinned', 'unpinned')[after.count('solve') - 1]}"
+    return "ray" if res.ray is not None and after.count("separates") == 1 else "y_B"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Digests of is_k_way's verdicts over a seeded corpus.")
     parser.add_argument("--reverse", action="store_true", help="solve the tables in reverse order")
+    parser.add_argument("--rungs", action="store_true", help="also count the certificates of the exact verdicts")
     args = parser.parse_args(argv)
     modes = ("exact", "float")
     jobs = [(Behavior.from_table(n, np.clip(table, 0.0, 1.0)), k) for n, k, table in corpus(np.random.default_rng(SEED))]
     order = reversed(range(len(jobs))) if args.reverse else range(len(jobs))
-    verdicts = [None] * len(jobs)
-    for i in order:
-        verdicts[i] = [verdict(*jobs[i], mode) for mode in modes]
+    verdicts, rungs, calls = [None] * len(jobs), Counter(), Calls()
+    with calls if args.rungs else contextlib.nullcontext():
+        for i in order:
+            calls.log.clear()
+            exact = verdict(*jobs[i], "exact")
+            if args.rungs:
+                rungs[rung(calls.log, exact[0])] += 1
+            verdicts[i] = [exact, verdict(*jobs[i], "float")]
     counts = {mode: Counter() for mode in modes}
     digests = {mode: hashlib.sha256() for mode in modes}
     for pair in verdicts:
@@ -129,6 +185,8 @@ def main(argv=None):
     for mode in modes:
         summary = " ".join(f"{label} {counts[mode][label]}" for label in ("non-member", "member", "error"))
         print(f"{mode} {summary} sha256 {digests[mode].hexdigest()}")
+    if args.rungs:
+        print("rungs " + " ".join(f"{name} {rungs[name]}" for name in RUNGS))
     return 0
 
 
