@@ -12,16 +12,17 @@ P(1|x) = sum_S g_S(x_S) with 0 <= g_S(a) <= q_S, q_S >= 0 and sum_S q_S = 1.
 That LP has C(N,k)(2^k + 1) columns.  The model is built once per (N, k);
 each LP passes only the table.  HiGHS (Huangfu and Hall, Math. Prog.
 Comp. 10, 2018) solves it through scipy's compiled extension, called
-directly through the one seam `linprog`.  Each thread reuses its own
-solvers, and passModel discards the previous model's state, so results
-do not depend on the calls before.  A staircase decomposition turns each
-box point g_S/q_S into at most 2^k + 1 weighted vertices.  Those
-weights, the ones returned, are the proof of membership on both routes:
-they must rebuild the table and sum to 1, within FLOAT_FEAS_TOL or
-exactly.  When HiGHS finds the LP infeasible, the table rows of its dual
-ray, a Farkas certificate, give the y for which the exact route checks
-y.p > h(y); no second LP is solved.  The witness B's own coefficients y_B
-are the last y it tries.
+directly through the one seam `linprog`, which returns HiGHS's point or
+its dual ray, or raises.  One HiGHS object per thread serves both
+methods, and each LP sets the method; passModel discards the previous
+model's state, so results do not depend on the calls before.  A
+staircase decomposition turns each box point g_S/q_S into at most
+2^k + 1 weighted vertices.  Those weights, the ones returned, are the
+proof of membership on both routes: they must rebuild the table and sum
+to 1, within FLOAT_FEAS_TOL or exactly.  When HiGHS finds the LP
+infeasible, the table rows of its dual ray, a Farkas certificate, give
+the y for which the exact route checks y.p > h(y); no second LP is
+solved.  The witness B's own coefficients y_B are the last y it tries.
 
 The vertex count and the largest witness value have closed forms
 (vertex_count, max_B_over_vertices), so nothing here lists the vertices;
@@ -37,12 +38,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
-from typing import NamedTuple, Optional
+from math import comb, isfinite
+from typing import Optional
 
 import numpy as np
 
-from .behavior import Behavior
+from .behavior import Behavior, BehaviorError
 from .exactlp import separates, solve, support_function, walsh_certificate
 
 # One verdict on either route costs about a second or less up to this size,
@@ -78,93 +79,77 @@ def _highs():
     raise ImportError(f"kway needs scipy>=1.17, which ships the HiGHS extension {name}")
 
 
-class _LPResult(NamedTuple):
-    status: int               # scipy's codes: 0 optimal, 2 infeasible, 4 any other outcome
-    message: str
-    x: Optional[np.ndarray]   # only when optimal
-    ray: Optional[np.ndarray] = None  # the dual ray, a Farkas certificate: when infeasible and HiGHS has one
-
-
 class _DirectHighs:
     """The membership LP of a table p by HiGHS: a vertex of the feasible set
     by dual simplex, or with interior=True a point inside it, by the
     interior-point method without crossover.  The model is built once per
     (N, k); each LP passes only the table, as the bounds of its rows.
 
+    A call returns (x, ray).  x is HiGHS's point when the LP is optimal,
+    else None.  ray is None unless the LP is infeasible, ray=True was
+    asked and HiGHS has a dual ray; then it holds the ray's entries on the
+    table rows, the y that separates checks.  The interior-point method
+    without crossover returns none, and only the exact route asks for it.
+    Any other outcome raises CertificationError: a model that passModel
+    rejects, such as one with a NaN bound, is not run (HiGHS would still
+    solve it and report a status), and an LP that HiGHS ends neither
+    optimal nor infeasible is a solver failure.
+
     Every LP of this module goes through the instance `linprog`: tests
     substitute fakes there, and benchmark/tracer.py times it as a layer of
-    its own, which it does for an instance but not for a function.  Each
-    thread keeps one solver per method, created with its options on the
-    first LP of that method and reused for every later one: at N = 4, 5,
-    building a solver and its first run cost 0.1-0.3 ms, as much as a
-    whole solve at N = 4.  passModel discards the previous model with its
-    basis and solution, so every LP still starts cold and a verdict does
-    not depend on earlier calls.  HiGHS runs without the GIL, so threads
-    solve in parallel, each on its own solvers; two threads sharing one
-    break each other's runs.
+    its own, which it does for an instance but not for a function.  One
+    HiGHS object per thread serves both methods: it is created with its
+    options on the thread's first LP and reused for every later one, and
+    each LP sets the method.  At N = 4, 5, building a solver and its first
+    run cost 0.1-0.3 ms, as much as a whole solve at N = 4.  passModel
+    discards the previous model with its basis and solution, so every LP
+    still starts cold and a verdict does not depend on earlier calls.
+    HiGHS runs without the GIL, so threads solve in parallel, each on its
+    own object; two threads sharing one break each other's runs.
 
     With the options of scipy's linprog, the points are bit for bit
     the ones it returns.  Presolve is off: it left the status unknown on an
     infeasible N = 8, k = 4 table that HiGHS decides without it, and small
-    LPs solve as fast or faster without it.  The dual simplex runs, or with
-    interior=True the interior-point method without crossover.  The primal
-    feasibility tolerance is HIGHS_FEAS_TOL rather than HiGHS's default of
-    1e-7, which is looser than FLOAT_FEAS_TOL: at the default, HiGHS
-    accepted tables near the boundary whose float weights then missed
-    them, and found no infeasibility, hence no ray, for non-members within
-    1e-7 of the polytope.  With ray=True an infeasible simplex returns its
-    dual ray's entries on the table rows, the y that separates checks; the
-    interior-point method without crossover returns none.  Only the exact
-    route asks for it.
-
-    The model goes in through passModel's flat overload, which takes the
-    cached numpy arrays as buffers, not element by element.  A model that
-    passModel rejects, such as one with a NaN bound, is not run: HiGHS
-    would still solve it and report a status.
+    LPs solve as fast or faster without it.  The primal feasibility
+    tolerance is HIGHS_FEAS_TOL rather than HiGHS's default of 1e-7, which
+    is looser than FLOAT_FEAS_TOL: at the default, HiGHS accepted tables
+    near the boundary whose float weights then missed them, and found no
+    infeasibility, hence no ray, for non-members within 1e-7 of the
+    polytope.  The model goes in through passModel's flat overload, which
+    takes the cached numpy arrays as buffers, not element by element.
     """
 
     def __init__(self):
         self._threads = threading.local()
 
-    @staticmethod
-    def _solver(interior):
+    def __call__(self, lp, p, *, interior=False, ray=False):
         core = _highs()
-        highs = core._Highs()
-        highs.setOptionValue("output_flag", False)
-        highs.setOptionValue("presolve", "off")
-        highs.setOptionValue("primal_feasibility_tolerance", HIGHS_FEAS_TOL)
-        highs.setOptionValue("simplex_strategy", int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
-        if interior:
-            highs.setOptionValue("solver", "ipm")
-            highs.setOptionValue("run_crossover", "off")
-        return highs
-
-    def __call__(self, lp, p, *, interior=False, ray=False) -> _LPResult:
-        core = _highs()
-        method = "ipm" if interior else "simplex"
-        highs = getattr(self._threads, method, None)
+        highs = getattr(self._threads, "highs", None)
         if highs is None:
-            highs = self._solver(interior)
-            setattr(self._threads, method, highs)
+            highs = self._threads.highs = core._Highs()
+            dual = int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+            for option, value in (("output_flag", False), ("presolve", "off"), ("run_crossover", "off"),
+                                  ("primal_feasibility_tolerance", HIGHS_FEAS_TOL), ("simplex_strategy", dual)):
+                highs.setOptionValue(option, value)
+        highs.setOptionValue("solver", "ipm" if interior else "simplex")
         row_lower = np.concatenate([-lp.infinity[:lp.cells], p, [1.0]])
         row_upper = np.concatenate([lp.zeros[:lp.cells], p, [1.0]])
         status = highs.passModel(len(lp.zeros), len(row_lower), len(lp.value), core.MatrixFormat.kColwise,
                                  core.ObjSense.kMinimize, 0.0, lp.zeros, lp.zeros, lp.infinity, row_lower,
                                  row_upper, lp.start, lp.row_index, lp.value, lp.integrality)
         if status == core.HighsStatus.kError:
-            return _LPResult(4, "HiGHS rejected the model", None)
+            raise CertificationError("LP solver failure: HiGHS rejected the model")
         highs.run()
         status = highs.getModelStatus()
-        message = highs.modelStatusToString(status)
         if status == core.HighsModelStatus.kOptimal:
-            return _LPResult(0, message, np.array(highs.getSolution().col_value))
-        if status == core.HighsModelStatus.kInfeasible:
-            if ray:
-                _, has_ray, dual_ray = highs.getDualRay()
-                if has_ray:
-                    return _LPResult(2, message, None, np.array(dual_ray)[lp.cells:lp.cells + len(p)])
-            return _LPResult(2, message, None)
-        return _LPResult(4, message, None)
+            return np.array(highs.getSolution().col_value), None
+        if status != core.HighsModelStatus.kInfeasible:
+            raise CertificationError(f"LP solver failure: {highs.modelStatusToString(status)}")
+        if ray:
+            _, has_ray, dual_ray = highs.getDualRay()
+            if has_ray:
+                return None, np.array(dual_ray)[lp.cells:lp.cells + len(p)]
+        return None, None
 
 
 linprog = _DirectHighs()
@@ -177,7 +162,8 @@ class PolytopeSizeError(ValueError):
 class CertificationError(RuntimeError):
     """No verdict checks: the exact route found neither a member point nor
     a y that separates in exact arithmetic (HiGHS's Farkas ray or y_B), the
-    float weights miss the table, or HiGHS ended neither optimal nor infeasible."""
+    float weights miss the table, or HiGHS rejected the model or ended
+    neither optimal nor infeasible."""
 
 
 @dataclass(frozen=True, order=True)
@@ -391,22 +377,14 @@ def _exact_member(lp: _CompactLP, x, p) -> Optional[MembershipResult]:
     return None
 
 
-def _membership_lp(lp: _CompactLP, p_float, interior=False, ray=False):
-    """linprog's result for the table p_float, or CertificationError when
-    HiGHS ends neither optimal nor infeasible."""
-    res = linprog(lp, p_float, interior=interior, ray=ray)
-    if res.status not in (0, 2):
-        raise CertificationError(f"LP solver failure: {res.message}")
-    return res
-
-
 def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult:
     """Is the behavior a convex mixture of level-k vertices?
 
     Both routes solve the compact LP of the module docstring with HiGHS,
     called directly; infeasibility is a negative result, not an error.  An
     LP that HiGHS ends neither optimal nor infeasible raises
-    CertificationError.
+    CertificationError.  A table with a NaN or infinite entry raises
+    BehaviorError, as Behavior.from_table does, before any LP.
 
     mode "float" reads float weights off HiGHS's point and checks that
     they sum to 1 and reproduce the table within FLOAT_FEAS_TOL; otherwise
@@ -445,6 +423,9 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_size(n, k)
+    for v in behavior.p1:  # the Behavior dataclass checks nothing; from_table does
+        if not isfinite(v):
+            raise BehaviorError(f"probability out of range: {float(v)!r}")
     lp = _compact_lp(n, k)
     p_float = np.array(behavior.p1)
     if mode == "exact":
@@ -452,17 +433,17 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
         y = walsh_certificate(p, n, k)
         if y is not None and separates(y, p, lp.index):
             return MembershipResult(False, None)
-    res = _membership_lp(lp, p_float, ray=mode == "exact")
+    x, ray = linprog(lp, p_float, ray=mode == "exact")
     if mode == "float":
-        return _float_member(lp, res.x, p_float) if res.status == 0 else MembershipResult(False, None)
-    if res.status == 0:
-        member = _exact_member(lp, res.x, p)
+        return _float_member(lp, x, p_float) if x is not None else MembershipResult(False, None)
+    if x is not None:  # then ray is None, and the interior-point LP returns no ray
+        member = _exact_member(lp, x, p)
         if member is None:
-            res = _membership_lp(lp, p_float, interior=True)
-            member = _exact_member(lp, res.x, p) if res.status == 0 else None
+            x, _ = linprog(lp, p_float, interior=True)
+            member = _exact_member(lp, x, p) if x is not None else None
         if member is not None:
             return member
-    if res.ray is not None and separates(res.ray.tolist(), p, lp.index):
+    if ray is not None and separates(ray.tolist(), p, lp.index):
         return MembershipResult(False, None)
     if separates(_y_B(n), p, lp.index):
         return MembershipResult(False, None)

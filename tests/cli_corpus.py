@@ -9,7 +9,7 @@ the root of the repository with
 to print the number of calls and one SHA-256 updated, call by call in the
 order below, with repr((argv, exit code, stdout, stderr)).  Two versions
 of kway that print the same digest give the same exit codes and the same
-output, byte for byte, on all 1,090 command lines:
+output, byte for byte, on all 1,112 command lines:
 
 * violation at N = 2-39, 64, 97, 128, 255, 1000, 4097, at its maximum
   over phi and at eleven phases, in both formats;
@@ -17,7 +17,11 @@ output, byte for byte, on all 1,090 command lines:
 * grover at nine N from 2 to 10^6, at the default kmax and at kmax 0, 1
   and 5, in both formats;
 * witness at N = 2, 3 and four phases;
-* polytope at every 1 <= k <= n <= 8.
+* polytope at every 1 <= k <= n <= 8;
+* the 22 command lines of EDGES: argparse's usage errors, each command's
+  size guards, non-finite phases, and phases passed as a separate word,
+  including -1e10 and a prefix of --phi-deg.  All but four exit 2, with
+  one message on stderr.
 
 With --dump FILE it also writes each call's repr, one line per call, so
 that the dumps of two versions can be compared with diff.
@@ -36,6 +40,18 @@ SCAN_RANGES = ((2, 10), (2, 44), (30, 60))
 GROVER_N = (2, 3, 4, 16, 64, 120, 256, 400, 10 ** 6)
 GROVER_KMAX = (None, 0, 1, 5)
 FORMATS = ("csv", "json")
+EDGES = (
+    [], ["frobnicate"], ["violation"],
+    ["violation", "--n", "1"], ["violation", "--n", "1000001"],
+    ["violation", "--n", "5", "--phi", "nan"], ["violation", "--n", "5", "--phi-deg", "inf"],
+    ["violation", "--n", "5", "--phi", "-1e10"], ["violation", "--n", "5", "--phi-d", "-1e3"],
+    ["violation", "--n", "5", "--phi-deg", "30"], ["violation", "--n", "5", "--phi", "1", "--phi-deg", "2"],
+    ["violation", "--n", "5", "--format", "xml"],
+    ["scan", "--n-min", "5", "--n-max", "4"], ["scan", "--n-max", "20002"],
+    ["grover", "--n", "1"], ["grover", "--n", "5", "--kmax", "6"], ["grover", "--n", "20000", "--kmax", "10000"],
+    ["witness", "--n", "4", "--phi", "1"], ["witness", "--n", "3"], ["witness", "--n", "3", "--phi", "-1e-3"],
+    ["polytope", "--n", "9", "--k", "2"], ["polytope", "--n", "3", "--k", "0"],
+)
 
 
 def corpus():
@@ -59,6 +75,7 @@ def corpus():
     for n in range(1, 9):
         for k in range(1, n + 1):
             yield ["polytope", "--n", str(n), "--k", str(k)]
+    yield from EDGES
 
 
 def main(argv=None):

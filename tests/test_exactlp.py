@@ -6,7 +6,7 @@ import pytest
 from oracles import enumerate_vertices, vertex_table
 
 from kway import polytope
-from kway.behavior import Behavior
+from kway.behavior import Behavior, BehaviorError
 from kway.cli import main
 from kway.exactlp import separates, solve, support_function, walsh_certificate
 from kway.polytope import CertificationError, fibre_index, is_k_way
@@ -173,17 +173,13 @@ def test_float_rounded_dirichlet_mixture_is_a_certified_non_member():
     assert rejected >= 10
 
 
-class Junk:
-    """An optimal status with the zero point, which no weights rebuild."""
-
-    status, message, ray = 0, "junk", None
-
-    def __init__(self, cols):
-        self.x = np.zeros(cols)
+def junk(lp, p, **kwargs):
+    """An optimal LP with the zero point, which no weights rebuild."""
+    return np.zeros(len(lp.zeros)), None
 
 
 def test_uncertified_verdict_raises_and_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(polytope, "linprog", lambda lp, p, **kwargs: Junk(len(lp.zeros)))
+    monkeypatch.setattr(polytope, "linprog", junk)
     b = Behavior.from_table(2, [0.5] * 4)
     with pytest.raises(CertificationError):
         is_k_way(b, 1, mode="exact")
@@ -193,7 +189,7 @@ def test_uncertified_verdict_raises_and_exits_1(capsys, monkeypatch):
 
 
 def test_float_weights_that_miss_the_table_raise(monkeypatch):
-    monkeypatch.setattr(polytope, "linprog", lambda lp, p, **kwargs: Junk(len(lp.zeros)))
+    monkeypatch.setattr(polytope, "linprog", junk)
     with pytest.raises(CertificationError, match="LP weights miss the table by 1$"):
         is_k_way(Behavior.from_table(2, [0.5] * 4), 1, mode="float")
 
@@ -204,22 +200,35 @@ def test_unknown_mode_raises():
 
 
 def test_solver_failure_raises_and_exits_1(capsys, monkeypatch):
-    class Failed:
-        status, message, x = 4, "Time limit reached", None
-
-    monkeypatch.setattr(polytope, "linprog", lambda lp, p, **kwargs: Failed())
+    """HiGHS itself stops short: with both iteration limits at 0 every LP
+    ends at "Iteration limit reached", neither optimal nor infeasible."""
+    linprog = polytope._DirectHighs()
+    monkeypatch.setattr(polytope, "linprog", linprog)
     b = Behavior.from_table(2, [0.5] * 4)
+    assert is_k_way(b, 1, mode="float").is_member  # makes this thread's HiGHS object
+    for option in ("simplex_iteration_limit", "ipm_iteration_limit"):
+        linprog._threads.highs.setOptionValue(option, 0)
     for mode in ("exact", "float"):
-        with pytest.raises(CertificationError, match="LP solver failure: Time limit reached"):
+        with pytest.raises(CertificationError, match="^LP solver failure: Iteration limit reached$"):
             is_k_way(b, 1, mode=mode)
     assert main(["witness", "--n", "3", "--phi", "0"]) == 1
     err = capsys.readouterr().err
-    assert err == "error: LP solver failure: Time limit reached\n"
+    assert err == "error: LP solver failure: Iteration limit reached\n"
 
 
 def test_a_model_that_highs_rejects_is_a_solver_failure():
-    """A NaN table, built without from_table's checks, makes passModel
-    reject the model; HiGHS would still run it and report it optimal."""
-    b = Behavior(3, (float("nan"),) * 8)
+    """A NaN table makes passModel reject the model; HiGHS would still run
+    it and report it optimal.  is_k_way rejects such a table before any LP
+    (below), so the seam is called directly."""
     with pytest.raises(CertificationError, match="^LP solver failure: HiGHS rejected the model$"):
-        is_k_way(b, 1, mode="float")
+        polytope.linprog(polytope._compact_lp(3, 1), np.full(8, np.nan))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("mode", ["exact", "float", "auto"])
+def test_a_non_finite_table_is_rejected_the_same_way_on_every_route(value, mode, monkeypatch):
+    """A Behavior built without from_table's checks gets from_table's error
+    on every route, and no LP is solved."""
+    monkeypatch.setattr(polytope, "linprog", None)
+    with pytest.raises(BehaviorError, match=f"^probability out of range: {value!r}$"):
+        is_k_way(Behavior(3, (value,) * 8), 1, mode=mode)

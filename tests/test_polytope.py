@@ -263,30 +263,31 @@ def test_the_cached_model_is_the_compact_lp(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_highs_called_directly_matches_scipy_linprog(n):
-    """Same status and bit-identical points as scipy.optimize.linprog, on the
-    membership LP by simplex and by interior point; every infeasible simplex
-    returns a dual ray whose table rows separate the table exactly.  The
-    LPs then run again in reverse order, which alternates the methods, and
-    give the same points and rays: the reused solvers carry nothing over."""
+    """A point exactly when scipy.optimize.linprog finds the membership LP
+    optimal, bit-identical to its point, by simplex and by interior point;
+    every infeasible simplex returns a dual ray whose table rows separate
+    the table exactly.  The LPs then run again in reverse order, which
+    alternates the methods on the thread's one HiGHS object, and give the
+    same points and rays: the reused object carries nothing over."""
     rng = np.random.default_rng(n)
     lps = [(polytope._compact_lp(n, k), k, table, interior)
            for k in range(1, n) for table in _lp_tables(n, k, rng) for interior in (False, True)]
     forward, statuses = [], set()
     for lp, k, table, interior in lps:
-        res, ref = polytope._membership_lp(lp, table, interior, ray=True), linprog_membership(table, k, interior)
-        assert res.status == ref.status
-        assert res.status == 2 or np.array_equal(res.x, ref.x)
-        if res.status == 2 and not interior:
-            assert separates(res.ray.tolist(), [Fraction(v) for v in table], lp.index)
-        forward.append((res, ref))
-        statuses.add(res.status)
+        (x, ray), ref = polytope.linprog(lp, table, interior=interior, ray=True), linprog_membership(table, k, interior)
+        assert ref.status in (0, 2) and (x is None) == (ref.status == 2)
+        assert x is None or np.array_equal(x, ref.x)
+        if x is None and not interior:
+            assert separates(ray.tolist(), [Fraction(v) for v in table], lp.index)
+        forward.append((x, ray))
+        statuses.add(ref.status)
     assert statuses == {0, 2}
-    for (lp, k, table, interior), (first, ref) in zip(reversed(lps), reversed(forward)):
-        res = polytope._membership_lp(lp, table, interior, ray=True)
-        assert res.status == ref.status
-        assert res.status == 2 or np.array_equal(res.x, ref.x)
-        assert (res.ray is None) == (first.ray is None)
-        assert res.ray is None or np.array_equal(res.ray, first.ray)
+    for (lp, k, table, interior), (first_x, first_ray) in zip(reversed(lps), reversed(forward)):
+        x, ray = polytope.linprog(lp, table, interior=interior, ray=True)
+        assert (x is None) == (first_x is None)
+        assert x is None or np.array_equal(x, first_x)
+        assert (ray is None) == (first_ray is None)
+        assert ray is None or np.array_equal(ray, first_ray)
 
 
 def test_only_the_exact_route_asks_for_the_ray(monkeypatch):
@@ -294,7 +295,7 @@ def test_only_the_exact_route_asks_for_the_ray(monkeypatch):
     solve, asked = polytope.linprog, []
 
     def spy(lp, p, **kwargs):
-        asked.append(kwargs["ray"])
+        asked.append(kwargs.get("ray"))
         return solve(lp, p, **kwargs)
 
     monkeypatch.setattr(polytope, "linprog", spy)
@@ -303,7 +304,8 @@ def test_only_the_exact_route_asks_for_the_ray(monkeypatch):
         asked.clear()
         assert not is_k_way(table, 2, mode=mode).is_member
         assert asked == [mode == "exact"]
-    assert polytope._membership_lp(polytope._compact_lp(3, 2), np.array(table.p1)).ray is None
+    x, ray = solve(polytope._compact_lp(3, 2), np.array(table.p1))
+    assert x is None and ray is None
 
 
 def _member_weights_ok(res, table, k):
@@ -421,7 +423,7 @@ def test_the_interior_point_certifies_a_member_the_simplex_point_does_not(monkey
     solve, methods = polytope.linprog, []
 
     def spy(lp, p, **kwargs):
-        methods.append("interior" if kwargs["interior"] else "simplex")
+        methods.append("interior" if kwargs.get("interior") else "simplex")
         return solve(lp, p, **kwargs)
 
     monkeypatch.setattr(polytope, "linprog", spy)
@@ -468,8 +470,8 @@ def _verdict_jobs(rng):
 
 def test_verdicts_on_two_threads_match_the_serial_ones():
     """HiGHS runs without the GIL, so two threads solve at the same time,
-    each on its own solvers: one solver shared by both failed here with
-    "LP solver failure: Not Set"."""
+    each on its own HiGHS object: one object shared by both failed here
+    with "LP solver failure: Not Set"."""
     jobs = _verdict_jobs(np.random.default_rng(17))
     serial = [_verdict(*job) for job in jobs]
     assert {verdict[0] for verdict in serial} == {True, False}

@@ -33,7 +33,10 @@ members by the LP method and the attempt of polytope._exact_member that
 certified them (simplex or interior, pinned or unpinned), non-members by
 Walsh coefficient, Farkas ray or y_B, and the errors.  It reads them off
 the calls is_k_way makes to polytope.linprog, polytope.solve and
-polytope.separates, which it wraps while the corpus runs.
+polytope.separates, which it wraps while the corpus runs.  One HiGHS
+object per thread serves both LP methods, and each LP sets the method;
+polytope.linprog returns (point, ray), the point when the LP is optimal
+and the ray when it is infeasible and the ray was asked for, or raises.
 """
 import argparse
 import contextlib
@@ -152,11 +155,11 @@ def rung(log, label):
     lps = [i for i, (name, _, _) in enumerate(log) if name == "linprog"]
     if not lps:
         return "walsh"
-    _, kwargs, res = log[lps[-1]]
+    _, kwargs, (_, ray) = log[lps[-1]]
     after = [name for name, _, _ in log[lps[-1] + 1:]]
     if label == "member":  # the last exact solve is the attempt that certified it
-        return f"{'interior' if kwargs['interior'] else 'simplex'}-{('pinned', 'unpinned')[after.count('solve') - 1]}"
-    return "ray" if res.ray is not None and after.count("separates") == 1 else "y_B"
+        return f"{'interior' if kwargs.get('interior') else 'simplex'}-{('pinned', 'unpinned')[after.count('solve') - 1]}"
+    return "ray" if ray is not None and after.count("separates") == 1 else "y_B"
 
 
 def main(argv=None):
