@@ -67,8 +67,8 @@ def _resolve_phi(args) -> float:
 
 def _violation_row(n: int, phi: float):
     d_num = single_query.delta_numeric(n, single_query.PhasePattern.half_half(n, phi))
-    d_closed, violates = single_query.delta_closed_form(n, phi)
-    return (n, phi, d_num, d_closed, "violation" if violates else "none", n - 1 + d_num, float(n - 1))
+    d_closed = single_query.delta_closed_form(n, phi)
+    return (n, phi, d_num, d_closed, "violation" if d_closed > 0 else "none", n - 1 + d_num, float(n - 1))
 
 
 def _delta_max_row(n: int):

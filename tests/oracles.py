@@ -5,6 +5,7 @@ would otherwise give a silently wrong answer: dense operators, explicit
 states and enumerated vertices, each the slow, direct form of something
 kway computes from structure.
 """
+import decimal
 import functools
 import math
 import warnings
@@ -90,6 +91,45 @@ def dense_delta(n, pattern):
     """delta = B - (N - 1) from the dense density operators and the eigensolver."""
     p0, rho0, p1, rho1 = loop_discrimination_pair(n, pattern)
     return 0.5 - n / 2 + (n + 1) / 2 * trace_norm(p1 * rho1 - p0 * rho0)
+
+
+def _sin_cos(t):
+    """(sin t, cos t) for a Decimal t, |t| < 4, from their Taylor series,
+    summed until a term falls below 1e-60 |t|."""
+    sin = cos = decimal.Decimal(0)
+    term, k = decimal.Decimal(1), 0  # t^k / k!
+    while True:
+        if k % 2:
+            sin += term if k % 4 == 1 else -term
+        else:
+            cos += term if k % 4 == 0 else -term
+        k += 1
+        term = term * t / k
+        if not term or abs(term) < abs(t) * decimal.Decimal(10) ** -60:
+            return sin, cos
+
+
+def reference_delta(n, phi):
+    """Half/half delta at the float phase phi, |phi| < 4, as a Decimal
+    computed at 50 significant digits.
+
+    The unfactored 2x2 block of (N+1)(p1 rho_1 - p0 rho_0) - (2/N)(1 - cos
+    phi) I: diagonal (A, 0) with A = N - 3 + 2 cos phi and off-diagonal
+    squared 4 sin^2 phi f, f = 1 (even N) or 1 - 1/N^2 (odd N).  delta is
+    minus its lower eigenvalue less the shift, when that is positive.  The
+    O(N) terms cancel, and so do the block and the shift as phi -> 0: at
+    N = 10^6 and the phases the tests use, about 25 of the 50 digits remain.
+    """
+    if not -4 < phi < 4:
+        raise ValueError("the Taylor series are summed for |phi| < 4 only")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        sin, cos = _sin_cos(decimal.Decimal(phi))  # the float's exact value
+        big_n = decimal.Decimal(n)
+        f = 1 if n % 2 == 0 else 1 - 1 / (big_n * big_n)
+        a = big_n - 3 + 2 * cos
+        lam = (a - (a * a + 4 * sin * sin * f).sqrt()) / 2
+        return max(-lam - 2 * (1 - cos) / big_n, decimal.Decimal(0))
 
 
 # --- Grover --------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_criterion_03_closed_form_vs_numeric_oracle():
     phis = np.linspace(0.0, PI, 51)[1:]
     for n in range(3, 41):
         for phi in phis:
-            d_closed, _ = delta_closed_form(n, phi)
+            d_closed = delta_closed_form(n, phi)
             pattern = PhasePattern.half_half(n, phi)
             worst = max(worst, abs(d_closed - delta_numeric(n, pattern)))
             worst_dense = max(worst_dense, abs(d_closed - dense_delta(n, pattern)))

@@ -34,6 +34,15 @@ class TestViolationCommand:
         assert float(cells[2]) == pytest.approx(2 / 3, abs=1e-6)
         assert cells[4] == "violation"
 
+    @pytest.mark.parametrize("n,phi,delta", [(100_000, "0.00447222912674", "1.0000500019e-15"),
+                                             (1_000_000, "0.00141421650866", "1.00000500002e-18")])
+    def test_maximum_at_the_largest_n(self, capsys, n, phi, delta):
+        # the 60-digit values; subtracting O(N) terms in floats once printed phi* = pi and delta = 0
+        code, out, _ = run(capsys, "violation", "--n", str(n))
+        assert code == 0
+        cells = out.strip().split("\n")[1].split(",")
+        assert (cells[1], cells[3], cells[4]) == (phi, delta, "violation")
+
     def test_phi_deg(self, capsys):
         code, out, _ = run(capsys, "violation", "--n", "2", "--phi-deg", "180")
         assert code == 0

@@ -6,7 +6,7 @@ why in CHANGES.md.
 import cli_corpus
 import verdict_corpus
 
-CLI = "1112 bcbe2f32e462b2fb2bdb0919dbb2bc223d3531d29503753b5888cc72955c102f"
+CLI = "1112 8584a8f3dfa49a6790566f1f8fdbc07ebc229c73c6de9758e5a9ed52df62fa8b"
 VERDICTS = [
     "tables 1822",
     "exact non-member 1326 member 482 error 14 sha256 3c227f40e1ae6ad980fa6d5a8fd87a3b1d454ab06e10b45d7899e9f92ed76ea5",

@@ -9,6 +9,7 @@ from oracles import (
     encoded_state,
     loop_discrimination_pair,
     loop_induced_behavior,
+    reference_delta,
     uniform_state,
 )
 
@@ -338,7 +339,7 @@ class TestClosedForm:
     def test_agrees_with_numeric_on_grid(self):
         for n in range(2, 13):
             for phi in np.linspace(0.1, PI, 12):
-                d_closed, _ = delta_closed_form(n, phi)
+                d_closed = delta_closed_form(n, phi)
                 d_num = delta_numeric(n, PhasePattern.half_half(n, phi))
                 assert d_closed == pytest.approx(d_num, abs=1e-9), (n, phi)
 
@@ -346,22 +347,22 @@ class TestClosedForm:
         # bulk eigenvalue and lambda_- are both exactly 0 there
         for n in range(2, 51):
             for phi in (0.0, -0.0, 5e-324):
-                assert delta_closed_form(n, phi) == (0.0, False), (n, phi)
+                assert delta_closed_form(n, phi) == 0.0, (n, phi)
 
     def test_vanishes_as_phi_goes_to_zero(self):
         for n in (4, 6, 8):
-            d, _ = delta_closed_form(n, 1e-4)
+            d = delta_closed_form(n, 1e-4)
             assert 0 <= d < 1e-7
 
     def test_regime_reported(self):
         # at N = 4, phi = pi/2 the block has A = 1 and off-diagonal 1, so lambda_- = (1 - sqrt 5)/2
-        d, violates = delta_closed_form(4, PI / 2)
-        assert violates is True
+        d = delta_closed_form(4, PI / 2)
+        assert d > 0
         assert d == pytest.approx((math.sqrt(5) - 2) / 2)
-        assert delta_closed_form(7, math.acos(0.4))[1] is False
+        assert delta_closed_form(7, math.acos(0.4)) == 0.0
 
     def test_violates_is_the_sharp_threshold(self):
-        # the block test c < |lambda_-| and the bound on cos(phi) are two forms of one decision
+        # the sign of delta and the bound on cos(phi) are two forms of one decision
         rng = np.random.default_rng(0)
         checked = 0
         for n in range(2, 301):
@@ -369,7 +370,7 @@ class TestClosedForm:
                 margin = math.cos(phi) - violation_threshold(n)
                 if abs(margin) < 1e-9:
                     continue
-                assert delta_closed_form(n, phi)[1] == (margin > 0), (n, phi)
+                assert (delta_closed_form(n, phi) > 0) == (margin > 0), (n, phi)
                 checked += 1
         assert checked == 17940
 
@@ -384,6 +385,50 @@ class TestClosedForm:
     def test_guard(self):
         with pytest.raises(ValueError):
             delta_closed_form(1, 1.0)
+
+
+# N = 2-79 and larger N up to the cap of the structured route
+REFERENCE_N = list(range(2, 80)) + [97, 128, 255, 272, 1000, 4097, 10 ** 4, 10 ** 5, 10 ** 6 - 1, 10 ** 6]
+
+
+def reference_phases(n):
+    """Phases in (0, pi] on both sides of the threshold phi_t, none within 1e-3 of it:
+    six fixed ones and five multiples of phi_t."""
+    edge = math.acos(violation_threshold(n))
+    phis = [0.05, 0.3, 1.0, 2.0, 2.8, PI] + [edge * m for m in (0.1, 0.5, 0.9, 1.1, 1.5)]
+    return [phi for phi in phis if phi <= PI and abs(phi - edge) > 1e-3]
+
+
+class TestAgainstTheDecimalReference:
+    """delta from the unfactored block at 50 digits (oracles.reference_delta).
+    There the O(N) terms cancel; in delta_closed_form no two terms do."""
+
+    def test_reference_matches_the_dense_route(self):
+        for n in range(2, 9):
+            for phi in (0.3, 1.0, 2.5, PI):
+                pattern = PhasePattern.half_half(n, phi)
+                assert float(reference_delta(n, phi)) == pytest.approx(dense_delta(n, pattern), abs=1e-12)
+
+    def test_closed_form_within_1e_13_relative(self):
+        sides = set()
+        for n in REFERENCE_N:
+            for phi in reference_phases(n):
+                ref, got = reference_delta(n, phi), delta_closed_form(n, phi)
+                sides.add((n, ref > 0))
+                if ref == 0:
+                    assert got == 0.0, (n, phi)
+                else:
+                    assert abs(got - float(ref)) <= 1e-13 * float(ref), (n, phi, got, ref)
+        # both regimes at every N >= 5; N = 2-4 violate at every phi in (0, pi)
+        assert sides == {(n, True) for n in REFERENCE_N} | {(n, False) for n in REFERENCE_N if n >= 5}
+
+    def test_maximum_within_1e_13_relative_and_not_beaten_nearby(self):
+        for n in REFERENCE_N:
+            phi, d = delta_max(n)
+            ref = reference_delta(n, phi)
+            assert abs(d - float(ref)) <= 1e-13 * float(ref), (n, phi, d, ref)
+            for moved in (phi * (1 + 1e-6), phi * (1 - 1e-6)):
+                assert reference_delta(n, moved) <= ref, (n, phi, moved)
 
 
 class TestViolationThreshold:
@@ -473,7 +518,7 @@ class TestDeltaMax:
         assert delta_numeric(n, pattern) == pytest.approx(d, abs=1e-9)
         assert dense_delta(n, pattern) == pytest.approx(d, abs=1e-9)
         grid = np.linspace(0.0, PI, 2002)[1:]  # 2001 phases in (0, pi]
-        assert max(delta_closed_form(n, p)[0] for p in grid) <= d + 1e-12
+        assert max(delta_closed_form(n, p) for p in grid) <= d + 1e-12
 
     def test_decreases_with_size(self):
         values = [delta_max(n)[1] for n in range(2, 8)]
