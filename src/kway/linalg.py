@@ -1,8 +1,7 @@
 """Hermitian eigensolves.
 
-Thin, validated wrappers around LAPACK (numpy.linalg.eigh and eigvalsh).
-All inputs are square ndarrays, real or complex; Hermiticity is checked up
-to HERM_TOL.
+A thin, validated wrapper around LAPACK (numpy.linalg.eigh).  Inputs are
+square ndarrays, real or complex; Hermiticity is checked up to HERM_TOL.
 """
 from __future__ import annotations
 
@@ -28,7 +27,3 @@ def check_hermitian(h: np.ndarray) -> np.ndarray:
 def eigh(h: np.ndarray):
     """(eigenvalues ascending, orthonormal eigenvectors as columns)."""
     return np.linalg.eigh(check_hermitian(h))
-
-
-def eigvalsh(h: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(check_hermitian(h))

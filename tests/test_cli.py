@@ -41,7 +41,15 @@ class TestViolationCommand:
         code, out, _ = run(capsys, "violation", "--n", str(n))
         assert code == 0
         cells = out.strip().split("\n")[1].split(",")
-        assert (cells[1], cells[3], cells[4]) == (phi, delta, "violation")
+        assert (cells[1], cells[2], cells[3], cells[4]) == (phi, delta, delta, "violation")
+
+    @pytest.mark.parametrize("n,phi", [("3", "1e-200"), ("6", "-1e-170"), ("4", "5e-324")])
+    def test_phase_whose_d_underflows(self, capsys, n, phi):
+        # 4 sin^2(phi/2) rounds to 0 while sin(phi) does not: delta_numeric takes the phase-0 exit
+        code, out, err = run(capsys, "violation", "--n", n, f"--phi={phi}")
+        assert code == 0 and err == ""
+        cells = out.strip().split("\n")[1].split(",")
+        assert (cells[2], cells[3]) == ("0", "0")
 
     def test_phi_deg(self, capsys):
         code, out, _ = run(capsys, "violation", "--n", "2", "--phi-deg", "180")

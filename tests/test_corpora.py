@@ -6,7 +6,7 @@ why in CHANGES.md.
 import cli_corpus
 import verdict_corpus
 
-CLI = "1112 8584a8f3dfa49a6790566f1f8fdbc07ebc229c73c6de9758e5a9ed52df62fa8b"
+CLI = "1112 b05b49e783b0133d3b6df40cce5b9379d2c613921fd19eb817cc9173f6540e12"
 VERDICTS = [
     "tables 1822",
     "exact non-member 1326 member 482 error 14 sha256 3c227f40e1ae6ad980fa6d5a8fd87a3b1d454ab06e10b45d7899e9f92ed76ea5",

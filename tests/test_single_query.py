@@ -13,7 +13,6 @@ from oracles import (
     uniform_state,
 )
 
-from kway import single_query
 from kway.behavior import eval_B
 from kway.polytope import is_k_way
 from kway.single_query import (
@@ -317,15 +316,22 @@ class TestDeltaNumeric:
         with pytest.raises(ValueError):
             delta_numeric(3, PhasePattern((PI, PI)))
 
-    def test_group_block_cap_raises_before_the_block_is_built(self, monkeypatch):
-        def unreachable(a):
-            raise AssertionError("the G x G block reached the eigensolver")
+    def test_no_eigensolver_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("delta_numeric called a numpy eigensolver")
 
-        monkeypatch.setattr(single_query, "eigvalsh", unreachable)
-        n = MAX_N_DENSE + 1
-        pattern = PhasePattern(tuple(-PI + 2 * PI * (j + 1) / n for j in range(n)))
-        with pytest.raises(ValueError, match=f"capped at G={MAX_N_DENSE}"):
-            delta_numeric(n, pattern)
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        rng = np.random.default_rng(27)
+        violating = 0
+        for n in (2, 3, 4, 5, 40, 272, 10 ** 6):
+            for phi in (1.0, PI, delta_max(n)[0]):
+                violating += delta_numeric(n, PhasePattern.half_half(n, phi)) > 0
+        for _ in range(200):
+            n = int(rng.integers(2, 13))
+            phases = rng.choice(rng.uniform(-PI, PI, int(rng.integers(2, 7))), n)
+            violating += delta_numeric(n, PhasePattern(tuple(phases))) > 0
+        assert violating > 30  # the Newton loop ran, not only the g(0) <= 0 exit
 
     def test_nonnegative_on_random_patterns(self):
         rng = np.random.default_rng(8)
@@ -401,7 +407,8 @@ def reference_phases(n):
 
 class TestAgainstTheDecimalReference:
     """delta from the unfactored block at 50 digits (oracles.reference_delta).
-    There the O(N) terms cancel; in delta_closed_form no two terms do."""
+    There the O(N) terms cancel; in delta_closed_form no two terms do, and
+    delta_numeric solves for the one negative eigenvalue itself."""
 
     def test_reference_matches_the_dense_route(self):
         for n in range(2, 9):
@@ -413,12 +420,13 @@ class TestAgainstTheDecimalReference:
         sides = set()
         for n in REFERENCE_N:
             for phi in reference_phases(n):
-                ref, got = reference_delta(n, phi), delta_closed_form(n, phi)
+                ref = reference_delta(n, phi)
                 sides.add((n, ref > 0))
-                if ref == 0:
-                    assert got == 0.0, (n, phi)
-                else:
-                    assert abs(got - float(ref)) <= 1e-13 * float(ref), (n, phi, got, ref)
+                for got in (delta_closed_form(n, phi), delta_numeric(n, PhasePattern.half_half(n, phi))):
+                    if ref == 0:
+                        assert got == 0.0, (n, phi)
+                    else:
+                        assert abs(got - float(ref)) <= 1e-13 * float(ref), (n, phi, got, ref)
         # both regimes at every N >= 5; N = 2-4 violate at every phi in (0, pi)
         assert sides == {(n, True) for n in REFERENCE_N} | {(n, False) for n in REFERENCE_N if n >= 5}
 
@@ -426,7 +434,8 @@ class TestAgainstTheDecimalReference:
         for n in REFERENCE_N:
             phi, d = delta_max(n)
             ref = reference_delta(n, phi)
-            assert abs(d - float(ref)) <= 1e-13 * float(ref), (n, phi, d, ref)
+            for got in (d, delta_numeric(n, PhasePattern.half_half(n, phi))):
+                assert abs(got - float(ref)) <= 1e-13 * float(ref), (n, phi, got, ref)
             for moved in (phi * (1 + 1e-6), phi * (1 - 1e-6)):
                 assert reference_delta(n, moved) <= ref, (n, phi, moved)
 
