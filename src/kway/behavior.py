@@ -2,11 +2,11 @@
 
 A behavior is the full table P(a | x_1 ... x_N) for one binary output a and
 N binary inputs.  Only P(1|x) is stored; P(0|x) = 1 - P(1|x).  Input strings
-are indexed as integers with x_1 as the least significant bit.
+are indexed as integers with x_1 as the least significant bit.  A Behavior is
+valid by construction: it checks its own table, so no consumer re-checks it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 PROB_TOL = 1e-12  # entries this near [0, 1] are clamped into it; helstrom's priors sum to 1 within it
@@ -18,26 +18,30 @@ class BehaviorError(ValueError):
 
 @dataclass(frozen=True)
 class Behavior:
-    """P(1|x) for every input string x of N binary inputs."""
+    """P(1|x) for every input string x of N binary inputs, stored as a tuple of
+    floats; N >= 1, 2^N entries and each one in [0, 1], or BehaviorError."""
 
     n_locations: int
     p1: tuple
 
-    @classmethod
-    def from_table(cls, n: int, p1) -> "Behavior":
-        """Validate and build a behavior; probabilities within PROB_TOL of [0,1] are clamped."""
+    def __post_init__(self):
+        n = self.n_locations
         if n < 1:
             raise BehaviorError("need at least one location")
-        vals = [float(p) for p in p1]
+        p1 = tuple(map(float, self.p1))
         # compared by bit length first, so that a large n builds no 2^n
-        if len(vals).bit_length() != n + 1 or len(vals) != 1 << n:
-            raise BehaviorError(f"table must have 2^N entries for N = {n}, got {len(vals)}")
-        clamped = []
-        for p in vals:
-            if not math.isfinite(p) or p < -PROB_TOL or p > 1.0 + PROB_TOL:
+        if len(p1).bit_length() != n + 1 or len(p1) != 1 << n:
+            raise BehaviorError(f"table must have 2^N entries for N = {n}, got {len(p1)}")
+        for p in p1:
+            if not 0.0 <= p <= 1.0:  # NaN fails
                 raise BehaviorError(f"probability out of range: {p!r}")
-            clamped.append(min(1.0, max(0.0, p)))
-        return cls(n, tuple(clamped))
+        object.__setattr__(self, "p1", p1)
+
+    @classmethod
+    def from_table(cls, n: int, p1) -> "Behavior":
+        """Build a behavior, first clamping entries within PROB_TOL of [0, 1] into it."""
+        vals = map(float, p1)
+        return cls(n, tuple(min(1.0, max(0.0, p)) if -PROB_TOL <= p <= 1.0 + PROB_TOL else p for p in vals))
 
 
 def eval_B(behavior: Behavior) -> float:

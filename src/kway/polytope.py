@@ -38,12 +38,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isfinite
+from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .behavior import Behavior, BehaviorError
+from .behavior import Behavior
 from .exactlp import separates, solve, support_function, walsh_certificate
 
 # One verdict on either route costs about a second or less up to this size,
@@ -383,8 +383,7 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
     Both routes solve the compact LP of the module docstring with HiGHS,
     called directly; infeasibility is a negative result, not an error.  An
     LP that HiGHS ends neither optimal nor infeasible raises
-    CertificationError.  A table with a NaN or infinite entry raises
-    BehaviorError, as Behavior.from_table does, before any LP.
+    CertificationError; a Behavior checks its own table when built.
 
     mode "float" reads float weights off HiGHS's point and checks that
     they sum to 1 and reproduce the table within FLOAT_FEAS_TOL; otherwise
@@ -423,9 +422,6 @@ def is_k_way(behavior: Behavior, k: int, mode: str = "auto") -> MembershipResult
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_size(n, k)
-    for v in behavior.p1:  # the Behavior dataclass checks nothing; from_table does
-        if not isfinite(v):
-            raise BehaviorError(f"probability out of range: {float(v)!r}")
     lp = _compact_lp(n, k)
     p_float = np.array(behavior.p1)
     if mode == "exact":

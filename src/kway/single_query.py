@@ -55,7 +55,7 @@ def _canonical(phase) -> float:
     """The phase in (-pi, pi]."""
     p = float(phase)
     if not math.isfinite(p):
-        raise ValueError("phases must be finite")
+        raise ValueError("the phase must be a finite number")
     if not -math.pi < p <= math.pi:
         # atan2 reduces by the exact 2 pi; fmod by the float 2 pi errs by |p| 3.9e-17
         p = math.atan2(math.sin(p), math.cos(p))
@@ -185,9 +185,10 @@ def delta_numeric(n: int, pattern: PhasePattern) -> float:
         lo, hi = (mu, hi) if g > 0 else (lo, mu)
         # Newton's step, with g'(mu) = -sum_g m_g |w_g - c|^2/(d_g + mu)^2
         step = mu + g / sum(m * abs(w - c) ** 2 / (d + mu) / (d + mu) for d, w, m in terms)
-        if step != mu and not lo < step < hi:
+        # N stays in reach until g(N) is known: the root is N itself at N = 2, phi = pi
+        if step != mu and not (lo < step < hi or step == hi == n):
             step = 0.5 * (lo + hi)
-        if step in (mu, lo, hi):
+        if step in (mu, lo) or step == hi < n:
             return mu / n
         mu = step
 

@@ -21,12 +21,25 @@ class TestBehaviorConstruction:
         # plain ValueError (the int digit limit), after 1.5 s at N = 10^8
         with pytest.raises(BehaviorError, match="2\\^N entries for N = 1000000000, got 3"):
             Behavior.from_table(10 ** 9, [0.1, 0.2, 0.3])
+        # a Behavior built directly checks its own table
+        with pytest.raises(BehaviorError):
+            Behavior(2, (0.1, 0.2, 0.3))
+        with pytest.raises(BehaviorError, match="2\\^N entries for N = 1000000000, got 3"):
+            Behavior(10 ** 9, (0.1, 0.2, 0.3))
+        with pytest.raises(BehaviorError, match="need at least one location"):
+            Behavior(0, (0.5,))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(BehaviorError):
             Behavior.from_table(1, [0.5, 1.1])
         with pytest.raises(BehaviorError):
             Behavior.from_table(1, [-0.2, 0.5])
+        with pytest.raises(BehaviorError):
+            Behavior(1, (0.5, 1.1))
+        with pytest.raises(BehaviorError):
+            Behavior(1, (-0.2, 0.5))
+        with pytest.raises(BehaviorError):  # only from_table clamps
+            Behavior(1, (1.0 + 5e-13, -5e-13))
 
     def test_tiny_overshoot_clamped(self):
         b = Behavior.from_table(1, [1.0 + 5e-13, -5e-13])

@@ -224,11 +224,17 @@ def test_a_model_that_highs_rejects_is_a_solver_failure():
         polytope.linprog(polytope._compact_lp(3, 1), np.full(8, np.nan))
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "table,message",
+    [pytest.param((v,) * 8, f"probability out of range: {v!r}", id=repr(v))
+     for v in (float("nan"), float("inf"), float("-inf"), 1.5, -0.5)]
+    + [pytest.param((0.5,) * m, f"table must have 2\\^N entries for N = 3, got {m}", id=f"{m}-entries")
+       for m in (7, 9)],
+)
 @pytest.mark.parametrize("mode", ["exact", "float", "auto"])
-def test_a_non_finite_table_is_rejected_the_same_way_on_every_route(value, mode, monkeypatch):
-    """A Behavior built without from_table's checks gets from_table's error
-    on every route, and no LP is solved."""
+def test_a_non_finite_table_is_rejected_the_same_way_on_every_route(table, message, mode, monkeypatch):
+    """A Behavior built directly, without from_table, checks its own table:
+    a bad one raises from_table's error on every route, and no LP is solved."""
     monkeypatch.setattr(polytope, "linprog", None)
-    with pytest.raises(BehaviorError, match=f"^probability out of range: {value!r}$"):
-        is_k_way(Behavior(3, (value,) * 8), 1, mode=mode)
+    with pytest.raises(BehaviorError, match=f"^{message}$"):
+        is_k_way(Behavior(3, table), 1, mode=mode)

@@ -277,6 +277,8 @@ class TestHelstromProjector:
 class TestDeltaNumeric:
     def test_n2_pi_saturates(self):
         assert delta_numeric(2, PhasePattern((PI, PI))) == pytest.approx(1.0, abs=1e-10)
+        # the root mu* = N is the end of Newton's bracket, which the iteration reaches
+        assert delta_numeric(2, PhasePattern.half_half(2, PI)) == 1.0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_zero_phases_no_violation(self, n):
