@@ -57,30 +57,23 @@ def _emit(rows, header, fmt: str, out):
         sys.stdout.write(text)
 
 
-def _resolve_phi(args) -> float:
-    """--phi, or --phi-deg in radians; argparse lets at most one through."""
-    return args.phi if args.phi_deg is None else math.radians(args.phi_deg)
-
-
-def _violation_row(n: int, phi: float):
+def _violation_row(n: int, phi: float, d_closed: float):
     d_num = single_query.delta_numeric(n, single_query.PhasePattern.half_half(n, phi))
-    d_closed = single_query.delta_closed_form(n, phi)
     return (n, phi, d_num, d_closed, "violation" if d_closed > 0 else "none", n - 1 + d_num, float(n - 1))
 
 
 def _delta_max_row(n: int):
-    phi, _ = single_query.delta_max(n)
-    return _violation_row(n, phi)
+    return _violation_row(n, *single_query.delta_max(n))
 
 
 VIOLATION_HEADER = ("n", "phi", "delta_numeric", "delta_closed_form", "regime", "B_quantum", "B_classical_bound")
 
 
 def cmd_violation(args) -> int:
-    if not 2 <= args.n <= single_query.MAX_N_STRUCTURED:
+    n, phi = args.n, args.phi
+    if not 2 <= n <= single_query.MAX_N_STRUCTURED:
         raise ValueError(f"violation requires 2 <= n <= {single_query.MAX_N_STRUCTURED}")
-    phi = _resolve_phi(args)
-    row = _violation_row(args.n, phi) if phi is not None else _delta_max_row(args.n)
+    row = _delta_max_row(n) if phi is None else _violation_row(n, phi, single_query.delta_closed_form(n, phi))
     _emit([row], VIOLATION_HEADER, args.format, args.out)
     return EXIT_OK
 
@@ -111,8 +104,7 @@ def cmd_witness(args) -> int:
     whose B, summed in Fractions, exceeds N - 1 fails the consistency check."""
     if not 2 <= args.n <= MAX_N_WITNESS:
         raise ValueError(f"witness uses the exact LP path and requires 2 <= n <= {MAX_N_WITNESS}")
-    phi = _resolve_phi(args)  # argparse requires --phi or --phi-deg
-    pattern = single_query.PhasePattern.half_half(args.n, phi)
+    pattern = single_query.PhasePattern.half_half(args.n, args.phi)  # the --phi flags are required here
     p0, rho0, p1, rho1 = single_query.build_discrimination_pair(args.n, pattern)
     _, pi1 = single_query.helstrom(p0, rho0, p1, rho1)
     behavior = single_query.induced_behavior(args.n, pattern, pi1)
@@ -120,7 +112,7 @@ def cmd_witness(args) -> int:
     k = args.n - 1
     result = polytope.is_k_way(behavior, k, mode="exact")
     print(f"n {args.n}")
-    print(f"phi {_fmt(phi)}")
+    print(f"phi {_fmt(args.phi)}")
     print(f"B {_fmt(b_val)}")
     print(f"member_k{k} {'true' if result.is_member else 'false'}")
     p = behavior.p1
@@ -146,10 +138,15 @@ def _add_output_flags(p):
     p.add_argument("--out", metavar="FILE", default=None)
 
 
+def _degrees(text: str) -> float:
+    return math.radians(float(text))
+
+
 def _add_phi_flags(p, required=False):
+    """--phi and --phi-deg both set args.phi, in radians."""
     g = p.add_mutually_exclusive_group(required=required)
     g.add_argument("--phi", type=float, help="angle in radians")
-    g.add_argument("--phi-deg", type=float, help="angle in degrees")
+    g.add_argument("--phi-deg", type=_degrees, dest="phi", metavar="PHI_DEG", help="angle in degrees")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,8 @@ one-hot encodings (rho_1, prior N/(N+1)) with the optimal binary measurement
 yields a witness value N - 1 + delta; delta > 0 certifies genuine N-way
 signaling.
 
-delta is computed by two independent routes:
+delta is computed by two independent routes, which both reduce the phase to
+(-pi, pi] and raise ValueError on a non-finite one:
 
 * delta_numeric, for any PhasePattern: (N+1)(p1 rho_1 - p0 rho_0) has at
   most one negative eigenvalue, the root of one scalar equation in sums
@@ -200,7 +201,8 @@ def _sign_factor(n: int):
 
 
 def delta_closed_form(n: int, phi: float) -> float:
-    """Analytic delta for the half/half +-phi pattern, N >= 2.
+    """Analytic delta for the half/half +-phi pattern, N >= 2, with phi reduced
+    to (-pi, pi] as in PhasePattern, so that a non-finite phi raises ValueError.
 
     With x = sin^2(phi/2), a = N - 1 - 4x and f = 1 (even N) or 1 - 1/N^2
     (odd N), (N+1)(p1 rho_1 - p0 rho_0) is (4x/N) I plus a 2x2 block with
@@ -213,7 +215,7 @@ def delta_closed_form(n: int, phi: float) -> float:
     """
     if n < 2:
         raise ValueError("closed form defined for N >= 2")
-    x = math.sin(phi / 2) ** 2
+    x = math.sin(_canonical(phi) / 2) ** 2
     q0, q1 = _sign_factor(n)
     q = q0 - q1 * x
     if q <= 0:

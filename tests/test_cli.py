@@ -55,6 +55,9 @@ class TestViolationCommand:
         code, out, _ = run(capsys, "violation", "--n", "2", "--phi-deg", "180")
         assert code == 0
         assert float(out.strip().split("\n")[1].split(",")[2]) == pytest.approx(1.0, abs=1e-9)
+        # the parser converts: every command reads the phase, in radians, from args.phi
+        args = cli.build_parser().parse_args(["violation", "--n", "5", "--phi-deg", "30"])
+        assert args.phi == math.radians(30) and not hasattr(args, "phi_deg")
 
     def test_guard(self, capsys):
         code, _, err = run(capsys, "violation", "--n", "1")
@@ -283,6 +286,25 @@ class TestScanCommand:
 
     def test_guard(self, capsys):
         assert run(capsys, "scan", "--n-min", "5", "--n-max", "4")[0] == 2
+
+    def test_a_row_evaluates_the_closed_form_once(self, capsys, monkeypatch):
+        # a maximum row reuses delta_max's delta*; a row at a given phase makes the one call
+        calls = []
+        closed_form = single_query.delta_closed_form
+
+        def counted(n, phi):
+            calls.append((n, phi))
+            return closed_form(n, phi)
+
+        monkeypatch.setattr(single_query, "delta_closed_form", counted)
+        for n in range(2, 41):
+            single_query.delta_max(n)
+        alone, calls[:] = calls[:], []
+        assert run(capsys, "scan", "--n-min", "2", "--n-max", "40")[0] == 0
+        assert calls == alone
+        calls.clear()
+        assert run(capsys, "violation", "--n", "40", "--phi", "1")[0] == 0
+        assert calls == [(40, 1.0)]
 
     def test_size_cap(self, capsys):
         cap = single_query.MAX_N_STRUCTURED

@@ -393,6 +393,9 @@ class TestClosedForm:
     def test_guard(self):
         with pytest.raises(ValueError):
             delta_closed_form(1, 1.0)
+        for phi in (float("nan"), float("inf"), float("-inf")):  # PhasePattern's error, not nan or a domain error
+            with pytest.raises(ValueError, match="^the phase must be a finite number$"):
+                delta_closed_form(5, phi)
 
 
 # N = 2-79 and larger N up to the cap of the structured route
@@ -431,6 +434,18 @@ class TestAgainstTheDecimalReference:
                         assert abs(got - float(ref)) <= 1e-13 * float(ref), (n, phi, got, ref)
         # both regimes at every N >= 5; N = 2-4 violate at every phi in (0, pi)
         assert sides == {(n, True) for n in REFERENCE_N} | {(n, False) for n in REFERENCE_N if n >= 5}
+
+    def test_near_the_threshold_within_a_few_ulps_of_the_phase(self):
+        # within 1e-3 of phi_t delta is a small difference of O(1) terms, so each route is
+        # held to the change of the exact delta over one ulp of the float phase
+        for n in (5, 6, 7, 8, 9, 16, 40, 101, 272, 1000):
+            edge = math.acos(violation_threshold(n))
+            for r in (1e-3, 1e-5, 1e-7, 3e-9, 1e-10):
+                phi = edge * (1 - r)
+                ref = reference_delta(n, phi)
+                ulp = float(abs(reference_delta(n, math.nextafter(phi, 4)) - ref))
+                for got in (delta_closed_form(n, phi), delta_numeric(n, PhasePattern.half_half(n, phi))):
+                    assert abs(got - float(ref)) <= 8 * ulp + 1e-14 * float(ref), (n, r, got, ref, ulp)
 
     def test_maximum_within_1e_13_relative_and_not_beaten_nearby(self):
         for n in REFERENCE_N:
